@@ -36,7 +36,7 @@ int main() {
   std::cout << "\nChannel (u,s) before the last step: [";
   for (std::size_t i = 0; i < prefix.final_state.channel(us).size(); ++i) {
     std::cout << (i ? ", " : "")
-              << inst.path_name(prefix.final_state.channel(us).at(i).path);
+              << inst.path_name(prefix.final_state.channel(us).path(i));
   }
   std::cout << "]  (the paper: first uad, second ubd)\n\n";
 

@@ -56,8 +56,10 @@ class CaptureReporter : public benchmark::BenchmarkReporter {
   std::vector<Row> rows_;
 };
 
-/// `throughput_key` names the peak-throughput metric in the JSON output
-/// (items/sec when the benches report items, iterations/sec otherwise).
+/// `throughput_key` names the peak-throughput metric in the JSON output:
+/// the highest items/sec over the rows that report items, or, when none
+/// does, the highest iterations/sec. `<throughput_key>_row` names the
+/// row it comes from.
 /// `extra_metrics`, when given, runs after the benchmarks in JSON mode
 /// so a bench can stamp workload-specific metrics (tracked byte peaks,
 /// state counts) into the document; bench-diff gates "*_bytes" keys
@@ -88,24 +90,34 @@ inline int gbench_main(
   benchmark::Shutdown();
 
   BenchJson output(name);
+  const bool any_items = std::any_of(
+      reporter.rows().begin(), reporter.rows().end(),
+      [](const CaptureReporter::Row& row) {
+        return row.items_per_second > 0.0;
+      });
   double peak_throughput = 0.0;
+  std::string peak_row;
   for (const CaptureReporter::Row& row : reporter.rows()) {
     obs::JsonWriter w;
     w.field("name", row.name)
         .field("iterations", row.iterations)
         .field("real_ms_per_iter", row.real_ms_per_iter);
-    double throughput = 0.0;
     if (row.items_per_second > 0.0) {
       w.field("items_per_second", row.items_per_second);
-      throughput = row.items_per_second;
-    } else if (row.real_ms_per_iter > 0.0) {
-      throughput = 1e3 / row.real_ms_per_iter;  // iterations/sec
     }
-    peak_throughput = std::max(peak_throughput, throughput);
+    const double throughput =
+        any_items ? row.items_per_second
+        : row.real_ms_per_iter > 0.0 ? 1e3 / row.real_ms_per_iter  // iter/s
+                                     : 0.0;
+    if (throughput > peak_throughput) {
+      peak_throughput = throughput;
+      peak_row = row.name;
+    }
     output.add_result(w);
   }
   output.set_metric("wall_ms", wall_ms);
   output.set_metric(throughput_key, peak_throughput);
+  output.set_label(throughput_key + "_row", peak_row);
   output.set_metric("peak_rss_bytes",
                     static_cast<double>(
                         obs::read_process_memory().peak_rss_bytes));

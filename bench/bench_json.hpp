@@ -63,6 +63,11 @@ class BenchJson {
   void set_metric(const std::string& key, double value) {
     metrics_.emplace_back(key, value);
   }
+  /// A string entry of the "metrics" object (e.g. which result row a
+  /// metric was taken from); bench-diff gates numbers only.
+  void set_label(const std::string& key, const std::string& value) {
+    labels_.emplace_back(key, value);
+  }
   void add_result(const obs::JsonWriter& row) {
     results_.push_back(row.str());
   }
@@ -70,6 +75,9 @@ class BenchJson {
   std::string to_json() const {
     obs::JsonWriter metrics;
     for (const auto& [key, value] : metrics_) {
+      metrics.field(key, value);
+    }
+    for (const auto& [key, value] : labels_) {
       metrics.field(key, value);
     }
     std::string rows = "[";
@@ -102,6 +110,7 @@ class BenchJson {
  private:
   std::string name_;
   std::vector<std::pair<std::string, double>> metrics_;
+  std::vector<std::pair<std::string, std::string>> labels_;
   std::vector<std::string> results_;
 };
 

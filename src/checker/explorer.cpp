@@ -384,14 +384,18 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   std::uint64_t unmerged = 0;  ///< batch slots abandoned by a memory break
   std::uint64_t batch_span_epoch = static_cast<std::uint64_t>(-1);
   while (!searcher->empty() && !truncated) {
-    // Rotate the batch span before expanding so serial expand spans nest
-    // under it (span parenting is innermost-open-on-this-thread); worker
-    // expand spans live in per-worker collectors and merge in as roots.
+    // Rotate the batch span before expanding so expand spans nest under
+    // it: serial ones as the innermost span open on this thread, worker
+    // ones through their collectors' root parent.
     if (options.obs.spans != nullptr &&
         expanded / kExpansionsPerBatchSpan != batch_span_epoch) {
       batch_span_epoch = expanded / kExpansionsPerBatchSpan;
       batch_span.finish();  // before begin(), so batches are siblings
       batch_span = options.obs.span("checker.frontier_batch");
+      const std::uint32_t open = options.obs.spans->open_span();
+      for (WorkerCtx& w : workers) {
+        w.spans.set_root_parent(open);
+      }
     }
     batch.clear();
     while (batch.size() < batch_target && !searcher->empty()) {

@@ -14,7 +14,7 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
   ReadEffect effect;
   effect.channel = read.channel;
 
-  Channel& channel = state.mutable_channel(read.channel);
+  MutableChannel channel = state.mutable_channel(read.channel);
   const std::size_t m = channel.size();
   const std::size_t i =
       read.count.has_value() ? std::min<std::size_t>(*read.count, m) : m;
@@ -44,50 +44,40 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
 
   if (last_kept != 0) {
     effect.delivered = true;
-    effect.new_known = channel.at(last_kept - 1).path;
-    state.set_known(read.channel, effect.new_known);
+    state.set_known_id(read.channel, channel.id(last_kept - 1));
   }
   channel.pop_front_n(i);
   return effect;
 }
 
-/// Phase 2 for one node: best permitted extension of the known routes.
+/// Phase 2 for one node: best permitted extension of the known routes,
+/// read from the instance's selection table.
 NodeEffect select(NetworkState& state, NodeId v) {
   const spp::Instance& inst = state.instance();
-  const Graph& g = inst.graph();
 
   NodeEffect effect;
   effect.node = v;
-  effect.old_assignment = state.assignment(v);
+  effect.old_assignment = state.assignment_id(v);
 
   if (v == inst.destination()) {
-    effect.new_assignment = Path{v};
+    effect.new_assignment = inst.permitted_id(v, 0);  // (d)
   } else {
-    Path best = Path::epsilon();
-    std::optional<spp::Rank> best_rank;
-    ChannelIdx best_channel = kNoChannel;
-    for (const ChannelIdx c : g.in_channels(v)) {
-      const Path& announced = state.known(c);
-      if (announced.empty() || announced.contains(v)) {
+    for (const ChannelIdx c : inst.graph().in_channels(v)) {
+      const spp::PathId candidate = inst.extension(v, state.known_id(c));
+      if (candidate == spp::kNoPath) {
         continue;
       }
-      const Path candidate = announced.extended_by(v);
-      const auto r = inst.rank(v, candidate);
-      if (!r.has_value()) {
-        continue;
-      }
-      if (!best_rank.has_value() || *r < *best_rank) {
-        best = candidate;
-        best_rank = r;
-        best_channel = c;
+      // Lower ids rank higher among v's paths; ties keep the first.
+      if (effect.selected_from == kNoChannel ||
+          candidate < effect.new_assignment) {
+        effect.new_assignment = candidate;
+        effect.selected_from = c;
       }
     }
-    effect.new_assignment = best;
-    effect.selected_from = best_channel;
   }
 
   effect.changed = (effect.new_assignment != effect.old_assignment);
-  state.set_assignment(v, effect.new_assignment);
+  state.set_assignment_id(v, effect.new_assignment);
   return effect;
 }
 
@@ -96,30 +86,34 @@ NodeEffect select(NetworkState& state, NodeId v) {
 /// paper's announce-on-change rule plus the first announcement.
 void announce(NetworkState& state, const NodeEffect& node_effect,
               std::vector<SentMessage>& sent) {
-  const spp::Instance& inst = state.instance();
-  const Graph& g = inst.graph();
-  const NodeId v = node_effect.node;
-  const Path& pi_v = node_effect.new_assignment;
-
-  for (const ChannelIdx out : g.out_channels(v)) {
-    const NodeId u = g.channel_id(out).to;
-    const Path export_value =
-        (!pi_v.empty() && inst.export_allows(v, u, pi_v)) ? pi_v
-                                                          : Path::epsilon();
-    const std::optional<Path>& last = state.last_exported(out);
-    const bool should_send =
-        last.has_value() ? (*last != export_value) : !export_value.empty();
-    if (!should_send) {
+  for (const ChannelIdx out :
+       state.instance().graph().out_channels(node_effect.node)) {
+    const spp::PathId value =
+        pending_export(state, out, node_effect.new_assignment);
+    if (value == spp::kNoPath) {
       continue;
     }
-    Message message{export_value, 0};
-    state.mutable_channel(out).push(message);
-    state.set_last_exported(out, export_value);
-    sent.push_back(SentMessage{out, std::move(message)});
+    state.mutable_channel(out).push(value);
+    state.set_exported_id(out, value);
+    sent.push_back(SentMessage{out, value});
   }
 }
 
 }  // namespace
+
+spp::PathId pending_export(const NetworkState& state, ChannelIdx out,
+                           spp::PathId pi) {
+  const spp::Instance& inst = state.instance();
+  const ChannelId id = inst.graph().channel_id(out);
+  const spp::PathId value =
+      (pi != spp::kEpsilonPath &&
+       inst.export_allows(id.from, id.to, inst.path(pi)))
+          ? pi
+          : spp::kEpsilonPath;
+  const spp::PathId last = state.exported_id(out);
+  const spp::PathId previous = last == spp::kNoPath ? spp::kEpsilonPath : last;
+  return value == previous ? spp::kNoPath : value;
+}
 
 StepEffect execute_step(NetworkState& state,
                         const model::ActivationStep& step,

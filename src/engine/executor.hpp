@@ -34,14 +34,14 @@ struct ReadEffect {
   std::uint32_t processed = 0;  ///< i = messages removed from the channel
   std::uint32_t dropped = 0;    ///< how many of those were dropped
   bool delivered = false;       ///< true if rho was (re)assigned
-  Path new_known;               ///< rho after the read (valid if delivered)
 };
 
-/// What happened at one updating node.
+/// What happened at one updating node. Paths are ids into the instance's
+/// path table (spp::Instance::path).
 struct NodeEffect {
   NodeId node = kNoNode;
-  Path old_assignment;
-  Path new_assignment;
+  spp::PathId old_assignment = spp::kEpsilonPath;
+  spp::PathId new_assignment = spp::kEpsilonPath;
   bool changed = false;
   /// In-channel whose rho furnished new_assignment (kNoChannel when the
   /// new assignment is epsilon or the node is the destination). Used by
@@ -52,7 +52,7 @@ struct NodeEffect {
 /// One message written to a channel during announcements.
 struct SentMessage {
   ChannelIdx channel = kNoChannel;
-  Message message;
+  spp::PathId path = spp::kEpsilonPath;  ///< epsilon = withdrawal
 };
 
 /// Complete effect of one activation step.
@@ -70,5 +70,12 @@ struct StepEffect {
 StepEffect execute_step(NetworkState& state,
                         const model::ActivationStep& step,
                         obs::SpanCollector* spans = nullptr);
+
+/// Step 4's announce rule for out-channel `out` of a node holding `pi`:
+/// the export value (pi, or epsilon where the export policy forbids it)
+/// when it differs from the channel's last export (nothing exported
+/// counts as epsilon), else kNoPath — nothing to write.
+spp::PathId pending_export(const NetworkState& state, ChannelIdx out,
+                           spp::PathId pi);
 
 }  // namespace commroute::engine

@@ -137,21 +137,11 @@ bool strongly_quiescent(const NetworkState& state) {
     return false;
   }
   // No pending announcement: activating any node must not produce a send.
-  const spp::Instance& inst = state.instance();
-  const Graph& g = inst.graph();
+  const Graph& g = state.instance().graph();
   for (NodeId v = 0; v < g.node_count(); ++v) {
-    const Path& pi_v = state.assignment(v);
+    const spp::PathId pi = state.assignment_id(v);
     for (const ChannelIdx out : g.out_channels(v)) {
-      const NodeId u = g.channel_id(out).to;
-      const Path export_value =
-          (!pi_v.empty() && inst.export_allows(v, u, pi_v))
-              ? pi_v
-              : Path::epsilon();
-      const std::optional<Path>& last = state.last_exported(out);
-      const bool would_send = last.has_value()
-                                  ? (*last != export_value)
-                                  : !export_value.empty();
-      if (would_send) {
+      if (pending_export(state, out, pi) != spp::kNoPath) {
         return false;
       }
     }

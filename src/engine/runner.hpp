@@ -152,7 +152,7 @@ struct RunResult {
   /// High-water mark of any single channel's queue length.
   std::size_t max_channel_occupancy = 0;
   /// High-water mark of the total in-flight message bytes across all
-  /// channels (deterministic estimate, see Channel::estimated_bytes).
+  /// channels (deterministic estimate, see NetworkState::channel_usage).
   std::size_t peak_channel_bytes = 0;
   /// Present when the flight recorder was on: the recorded window
   /// (complete in kFull mode, the last N steps in kRing mode).

@@ -469,7 +469,7 @@ CausalityGraph build_causality(const spp::Instance& instance,
     }
     effect.sent.reserve(io.sent.size());
     for (const ChannelIdx c : io.sent) {
-      effect.sent.push_back(engine::SentMessage{c, engine::Message{}});
+      effect.sent.push_back(engine::SentMessage{c});
     }
     recorder.record(doc.steps[t], effect, doc.meta.first_step + t,
                     step_time(t));

@@ -10,6 +10,7 @@ Span& Span::operator=(Span&& other) noexcept {
     collector_ = other.collector_;
     id_ = other.id_;
     parent_ = other.parent_;
+    adopted_ = other.adopted_;
     tid_ = other.tid_;
     start_ = other.start_;
     name_ = std::move(other.name_);
@@ -54,15 +55,34 @@ Span SpanCollector::begin(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   ThreadState& state = state_for(std::this_thread::get_id());
   const std::uint32_t id = next_id_++;
-  const std::uint32_t parent = state.open.empty() ? 0 : state.open.back();
+  const bool adopted = state.open.empty() && root_parent_ != 0;
+  const std::uint32_t parent = state.open.empty() ? root_parent_
+                                                  : state.open.back();
   state.open.push_back(id);
-  return Span(this, id, parent, state.tid, start, name);
+  return Span(this, id, parent, adopted, state.tid, start, name);
+}
+
+std::uint32_t SpanCollector::open_span() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::thread::id me = std::this_thread::get_id();
+  for (const ThreadState& state : threads_) {
+    if (state.thread == me) {
+      return state.open.empty() ? 0 : state.open.back();
+    }
+  }
+  return 0;
+}
+
+void SpanCollector::set_root_parent(std::uint32_t parent) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  root_parent_ = parent;
 }
 
 void SpanCollector::record(Span& span, std::uint64_t dur_us) {
   SpanRecord rec;
   rec.id = span.id_;
   rec.parent = span.parent_;
+  rec.adopted = span.adopted_;
   rec.tid = span.tid_;
   rec.start_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(span.start_ -
@@ -106,7 +126,9 @@ void SpanCollector::merge_from(const SpanCollector& other) {
   for (const SpanRecord& rec : other.records_) {
     SpanRecord merged = rec;
     merged.id += id_base;
-    if (merged.parent != 0) {
+    if (merged.adopted) {
+      merged.adopted = false;  // the parent is one of ours already
+    } else if (merged.parent != 0) {
       merged.parent += id_base;
     }
     merged.tid += tid_base;

@@ -34,6 +34,9 @@ struct SpanRecord {
   std::uint64_t dur_us = 0;
   std::string name;
   std::string args_json;  ///< "{...}" of attributes; "" when none
+  /// `parent` names a span of the collector this one merges into (a root
+  /// begun under SpanCollector::set_root_parent); merge_from keeps it.
+  bool adopted = false;
 };
 
 /// RAII measurement of one region. Move-only; records into its collector
@@ -70,11 +73,12 @@ class Span {
  private:
   friend class SpanCollector;
   Span(SpanCollector* collector, std::uint32_t id, std::uint32_t parent,
-       std::uint32_t tid, std::chrono::steady_clock::time_point start,
-       std::string_view name)
+       bool adopted, std::uint32_t tid,
+       std::chrono::steady_clock::time_point start, std::string_view name)
       : collector_(collector),
         id_(id),
         parent_(parent),
+        adopted_(adopted),
         tid_(tid),
         start_(start),
         name_(name) {}
@@ -82,6 +86,7 @@ class Span {
   SpanCollector* collector_ = nullptr;
   std::uint32_t id_ = 0;
   std::uint32_t parent_ = 0;
+  bool adopted_ = false;
   std::uint32_t tid_ = 0;
   std::chrono::steady_clock::time_point start_{};
   std::string name_;
@@ -98,8 +103,19 @@ class SpanCollector {
   SpanCollector(const SpanCollector&) = delete;
   SpanCollector& operator=(const SpanCollector&) = delete;
 
-  /// Starts a span nested under the calling thread's innermost open span.
+  /// Starts a span nested under the calling thread's innermost open span
+  /// (or, with none open, under the root parent; see set_root_parent).
   Span begin(std::string_view name);
+
+  /// The calling thread's innermost open span (0 = none).
+  std::uint32_t open_span() const;
+
+  /// Spans begun on a thread with nothing open here become children of
+  /// `parent`, a span id in the collector this one will be merged into
+  /// (0 = they stay roots). A parallel section gives its worker shards
+  /// the submitting thread's open_span(), so merged traces keep their
+  /// tree at any thread width.
+  void set_root_parent(std::uint32_t parent);
 
   /// Copy of all finished records, in finish order.
   std::vector<SpanRecord> snapshot() const;
@@ -108,9 +124,11 @@ class SpanCollector {
   /// ids, parents, and tids offset into fresh ranges and timestamps
   /// re-based from `other`'s epoch onto this collector's epoch (so the
   /// merged timeline stays consistent). Parent links between `other`'s
-  /// own records are preserved; its roots stay roots. Spans still open
-  /// in `other` are not migrated. This is how per-worker span shards
-  /// collapse into a campaign-level collector after a parallel sweep.
+  /// own records are preserved; roots begun under its root parent keep
+  /// that parent (already an id here); other roots stay roots. Spans
+  /// still open in `other` are not migrated. This is how per-worker span
+  /// shards collapse into a campaign-level collector after a parallel
+  /// sweep.
   void merge_from(const SpanCollector& other);
 
   /// Number of finished records so far.
@@ -132,6 +150,7 @@ class SpanCollector {
   std::chrono::steady_clock::time_point epoch_;
   std::uint32_t next_id_ = 1;
   std::uint32_t next_tid_ = 0;
+  std::uint32_t root_parent_ = 0;
   std::vector<ThreadState> threads_;
   std::vector<SpanRecord> records_;
 };

@@ -255,7 +255,7 @@ model::ActivationScript flag_batches(const spp::Instance& instance,
       // Fall through with k = 0: one stand-in mini-step is emitted below.
     }
 
-    const engine::Channel& channel = sim.channel(c);
+    const engine::Channel channel = sim.channel(c);
     const std::size_t m = channel.size();
 
     std::size_t k = 0;
@@ -270,7 +270,7 @@ model::ActivationScript flag_batches(const spp::Instance& instance,
     } else {
       std::size_t flags = 0;
       for (std::size_t idx = 0; idx < m; ++idx) {
-        if (channel.at(idx).tag == kFlagTag) {
+        if (channel.tag(idx) == kFlagTag) {
           ++flags;
         }
       }
@@ -282,7 +282,7 @@ model::ActivationScript flag_batches(const spp::Instance& instance,
         CR_ASSERT(flags >= i, "fewer flagged messages than R1S processed");
         std::size_t seen = 0;
         for (std::size_t idx = 0; idx < m; ++idx) {
-          if (channel.at(idx).tag == kFlagTag && ++seen == i) {
+          if (channel.tag(idx) == kFlagTag && ++seen == i) {
             k = idx + 1;
             break;
           }
@@ -311,14 +311,14 @@ model::ActivationScript flag_batches(const spp::Instance& instance,
     // message carries the batch-final assignment, which equals the R1S
     // announcement by the lockstep invariant.
     for (const engine::SentMessage& sent : rs.effect.sent) {
-      engine::Channel& och = sim.mutable_channel(sent.channel);
+      engine::MutableChannel och = sim.mutable_channel(sent.channel);
       CR_ASSERT(och.size() > out_sizes[sent.channel],
                 "lockstep violated: R1S announced but the simulated R1O "
                 "batch did not");
-      CR_ASSERT(och.at(och.size() - 1).path == sent.message.path,
+      CR_ASSERT(och.id(och.size() - 1) == sent.path,
                 "lockstep violated: final R1O announcement differs from "
                 "the R1S announcement");
-      och.at_mutable(och.size() - 1).tag = kFlagTag;
+      och.set_tag(och.size() - 1, kFlagTag);
     }
   }
   return out;

@@ -391,7 +391,7 @@ FaultStateEffect apply_fault(engine::NetworkState& state,
       break;
   }
   for (const ChannelIdx c : effect.flushed) {
-    engine::Channel& ch = state.mutable_channel(c);
+    engine::MutableChannel ch = state.mutable_channel(c);
     ch.pop_front_n(ch.size());
     // rho resets on the reader's side of the session: both directions of
     // a session reset, and a rebooted node's in-channels (the node

@@ -71,14 +71,14 @@ std::string to_dot(const Instance& instance,
 
   // Channels with queued messages.
   for (ChannelIdx c = 0; c < g.channel_count(); ++c) {
-    const engine::Channel& channel = state.channel(c);
+    const engine::Channel channel = state.channel(c);
     if (channel.empty()) {
       continue;
     }
     const ChannelId id = g.channel_id(c);
     std::ostringstream label;
     for (std::size_t i = 0; i < channel.size(); ++i) {
-      label << (i ? "," : "") << instance.path_name(channel.at(i).path);
+      label << (i ? "," : "") << instance.path_name(channel.path(i));
     }
     out << "  \"" << g.name(id.from) << "\" -> \"" << g.name(id.to)
         << "\" [color=red, style=dashed, label=\"[" << label.str()

@@ -23,12 +23,18 @@ Instance::Instance(Graph graph, NodeId destination,
   // The destination's permitted set is exactly the trivial path.
   permitted_[destination_] = {Path{destination_}};
 
+  // Ranks and path ids in one pass: id 0 is epsilon, then each node's
+  // paths in rank order.
   rank_.resize(permitted_.size());
+  path_base_.resize(permitted_.size());
+  path_owner_.assign(1, kNoNode);
   for (NodeId v = 0; v < permitted_.size(); ++v) {
+    path_base_[v] = static_cast<PathId>(path_owner_.size());
     for (Rank r = 0; r < permitted_[v].size(); ++r) {
       const bool inserted = rank_[v].emplace(permitted_[v][r], r).second;
       CR_REQUIRE(inserted, "duplicate permitted path at node " +
                                graph_.name(v));
+      path_owner_.push_back(v);
     }
   }
 
@@ -39,6 +45,52 @@ Instance::Instance(Graph graph, NodeId destination,
   }
 
   validate();
+  build_extensions();
+}
+
+void Instance::build_extensions() {
+  // (announced id, extension) for every permitted v . a whose tail a is a
+  // path the table holds, nodes ascending; then grouped by announced id
+  // with a stable counting sort. The destination always selects (d).
+  std::vector<std::pair<PathId, Extension>> found;
+  for (NodeId v = 0; v < permitted_.size(); ++v) {
+    if (v == destination_) {
+      continue;
+    }
+    for (Rank r = 0; r < permitted_[v].size(); ++r) {
+      if (const auto tail = path_id(permitted_[v][r].tail())) {
+        found.push_back({*tail, Extension{v, path_base_[v] + r}});
+      }
+    }
+  }
+  extension_begin_.assign(path_count() + 1, 0);
+  for (const auto& [announced, extension] : found) {
+    ++extension_begin_[announced + 1];
+  }
+  for (std::size_t a = 1; a < extension_begin_.size(); ++a) {
+    extension_begin_[a] += extension_begin_[a - 1];
+  }
+  extensions_.resize(found.size());
+  std::vector<std::uint32_t> next(extension_begin_.begin(),
+                                  extension_begin_.end() - 1);
+  for (const auto& [announced, extension] : found) {
+    extensions_[next[announced]++] = extension;
+  }
+}
+
+std::optional<PathId> Instance::path_id(const Path& p) const {
+  if (p.empty()) {
+    return kEpsilonPath;
+  }
+  const NodeId v = p.source();
+  if (v >= rank_.size()) {
+    return std::nullopt;
+  }
+  const auto it = rank_[v].find(p);
+  if (it == rank_[v].end()) {
+    return std::nullopt;
+  }
+  return path_base_[v] + it->second;
 }
 
 void Instance::validate() const {

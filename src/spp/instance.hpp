@@ -8,6 +8,7 @@
 // Instances are immutable once built (see spp/builder.hpp).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,11 +17,20 @@
 
 #include "core/graph.hpp"
 #include "core/path.hpp"
+#include "support/error.hpp"
 
 namespace commroute::spp {
 
 /// Rank of a permitted path at a node; lower is more preferred.
 using Rank = std::uint32_t;
+
+/// Dense id of a path a network state can hold (engine::NetworkState):
+/// epsilon is 0, then every node's permitted paths in node order, most
+/// preferred first — so among one node's paths the id grows with rank.
+using PathId = std::uint32_t;
+inline constexpr PathId kEpsilonPath = 0;
+/// "No path", e.g. nothing exported on a channel yet.
+inline constexpr PathId kNoPath = static_cast<PathId>(-1);
 
 /// Export-policy hook: step 4 of Def. 2.3 writes pi_v(t) to channel (v, u)
 /// only "if prescribed by export policy". The default permits everything;
@@ -107,7 +117,50 @@ class Instance {
   /// trivial path).
   std::size_t permitted_path_count() const;
 
+  // -- Path table: every path a network state can hold, interned ---------
+
+  /// Number of path ids: epsilon plus every permitted path (the
+  /// destination's trivial path included).
+  std::size_t path_count() const { return path_owner_.size(); }
+
+  /// The path with id `id`. Requires id < path_count().
+  const Path& path(PathId id) const {
+    CR_REQUIRE(id < path_owner_.size(), "path id out of range");
+    const NodeId v = path_owner_[id];
+    return v == kNoNode ? epsilon_ : permitted_[v][id - path_base_[v]];
+  }
+
+  /// Id of `p`, or nullopt when no state can hold it (it is neither
+  /// epsilon nor permitted at its first node).
+  std::optional<PathId> path_id(const Path& p) const;
+
+  /// Id of v's permitted path of rank `r`.
+  PathId permitted_id(NodeId v, Rank r) const {
+    CR_REQUIRE(v < permitted_.size() && r < permitted_[v].size(),
+               "no such permitted path");
+    return path_base_[v] + r;
+  }
+
+  /// The selection table: the id of v . a when v permits that extension
+  /// of the announced path with id `announced`, kNoPath otherwise (always
+  /// for epsilon). Of two extensions at v, the lower id is preferred.
+  PathId extension(NodeId v, PathId announced) const {
+    CR_REQUIRE(announced < path_owner_.size(), "path id out of range");
+    const auto first = extensions_.begin() + extension_begin_[announced];
+    const auto last = extensions_.begin() + extension_begin_[announced + 1];
+    const auto it =
+        std::lower_bound(first, last, v, [](const Extension& e, NodeId n) {
+          return e.node < n;
+        });
+    return it != last && it->node == v ? it->path : kNoPath;
+  }
+
  private:
+  struct Extension {
+    NodeId node;  ///< the extending node v
+    PathId path;  ///< v . announced
+  };
+
   Graph graph_;
   NodeId destination_;
   std::vector<std::vector<Path>> permitted_;
@@ -115,7 +168,16 @@ class Instance {
   std::shared_ptr<const ExportPolicy> export_policy_;
   bool single_char_names_ = true;
 
+  Path epsilon_;
+  std::vector<NodeId> path_owner_;  ///< id -> its node (kNoNode: epsilon)
+  std::vector<PathId> path_base_;   ///< node -> id of its rank-0 path
+  /// Extensions grouped by announced id (nodes ascending within a group):
+  /// group a is [extension_begin_[a], extension_begin_[a + 1]).
+  std::vector<std::uint32_t> extension_begin_;
+  std::vector<Extension> extensions_;
+
   void validate() const;
+  void build_extensions();
 };
 
 }  // namespace commroute::spp

@@ -658,6 +658,13 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
       obs::SpanCollector spans;
     };
     std::vector<Shard> shards(workers);
+    if (spec.obs.spans != nullptr) {
+      // Rows nest under campaign.run once the shards merge back.
+      const std::uint32_t open = spec.obs.spans->open_span();
+      for (Shard& shard : shards) {
+        shard.spans.set_root_parent(open);
+      }
+    }
 
     // The shared sink is serialized (SynchronizedSink) and fed in
     // enumeration order: whichever worker completes the row that fills

@@ -280,7 +280,7 @@ TEST(Compile, WireLevelExportFiltering) {
     const auto step = sched.next(state);
     const auto effect = engine::execute_step(state, step);
     for (const auto& sent : effect.sent) {
-      const Path& route = sent.message.path;
+      const Path& route = inst.path(sent.path);
       if (route.empty()) {
         continue;  // withdrawals always propagate
       }

@@ -136,6 +136,29 @@ TEST(Campaign, UnreliableRunsRecordDrops) {
   }
 }
 
+// peak_channel_bytes is a byte model (32 per queued message plus 4 per
+// path node), not the in-memory size of the queues; these values are
+// pinned so a change to the state's layout cannot move campaign CSVs.
+TEST(Campaign, PeakChannelBytesKeepTheirByteModel) {
+  const spp::Instance bad = spp::bad_gadget();
+  const spp::Instance cyclic = spp::cyclic_gadget(4);
+  CampaignSpec spec;
+  spec.instances = {{"BAD", &bad}, {"CYCLIC4", &cyclic}};
+  spec.models = {Model::parse("R1O"), Model::parse("UMS")};
+  spec.schedulers = {SchedulerKind::kRoundRobin, SchedulerKind::kRandomFair};
+  spec.seeds = 2;
+  spec.max_steps = 3000;
+  spec.drop_prob = 0.5;
+  spec.threads = 1;
+  const std::vector<std::size_t> expected{384, 720, 928, 252, 384, 380,
+                                          472, 672, 1296, 332, 424, 404};
+  std::vector<std::size_t> peaks;
+  for (const CampaignRow& row : run_campaign(spec).rows) {
+    peaks.push_back(row.peak_channel_bytes);
+  }
+  EXPECT_EQ(peaks, expected);
+}
+
 TEST(Campaign, CsvCarriesPerRowWallTime) {
   const spp::Instance good = spp::good_gadget();
   CampaignSpec spec;

@@ -46,6 +46,24 @@ TEST(CheckerMatrix, CsvIsByteIdenticalAcrossThreadWidths) {
   }
 }
 
+// The DISAGREE + Example A.4 x 24-model matrix at channel bound 3: its
+// CSV, tracked_peak_bytes column included, is pinned by FNV-1a digest
+// (the same digest the end-to-end benchmark checks), so neither the
+// verdicts nor the checker's byte model can drift unnoticed.
+TEST(CheckerMatrix, CsvDigestIsPinned) {
+  const spp::Instance dis = spp::disagree();
+  const spp::Instance a4 = spp::example_a4();
+  CheckerMatrixSpec spec;
+  spec.instances = {{"DISAGREE", &dis}, {"EXAMPLE-A4", &a4}};
+  spec.explore.max_channel_length = 3;
+  spec.explore.threads = 1;
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const char c : run_checker_matrix(spec).to_csv()) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(digest, 357551610186116548ULL);
+}
+
 TEST(CheckerMatrix, RowsLandInSpecOrder) {
   const spp::Instance dis = spp::disagree();
   CheckerMatrixSpec spec;

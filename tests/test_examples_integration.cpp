@@ -164,10 +164,10 @@ TEST(ExampleA4, ChannelUToSHoldsUadThenUbdBeforeStep6) {
   const trace::Recording rec = trace::record_script(inst, prefix);
   const ChannelIdx us = inst.graph().channel(inst.graph().node("u"),
                                              inst.graph().node("s"));
-  const engine::Channel& channel = rec.final_state.channel(us);
+  const engine::Channel channel = rec.final_state.channel(us);
   ASSERT_EQ(channel.size(), 2u);
-  EXPECT_EQ(inst.path_name(channel.at(0).path), "uad");
-  EXPECT_EQ(inst.path_name(channel.at(1).path), "ubd");
+  EXPECT_EQ(inst.path_name(channel.path(0)), "uad");
+  EXPECT_EQ(inst.path_name(channel.path(1)), "ubd");
 }
 
 // ---- Example A.5 (Fig. 9) ---------------------------------------------------

@@ -31,7 +31,7 @@ TEST_F(ExecutorTest, DestinationAnnouncesOnFirstActivation) {
   EXPECT_EQ(state.assignment(d), Path{d});
   ASSERT_EQ(effect.sent.size(), 2u);  // to x and to y
   for (const SentMessage& m : effect.sent) {
-    EXPECT_EQ(m.message.path, Path{d});
+    EXPECT_EQ(inst.path(m.path), Path{d});
   }
   EXPECT_EQ(state.channel(inst.graph().channel(d, x)).size(), 1u);
   EXPECT_EQ(state.channel(inst.graph().channel(d, y)).size(), 1u);
@@ -136,7 +136,7 @@ TEST_F(ExecutorTest, WithdrawalRemovesRouteAndPropagates) {
   const StepEffect effect = execute_step(state, read_one_step(inst, x, y));
   EXPECT_EQ(state.assignment(x), inst.parse_path("xd"));
   ASSERT_FALSE(effect.sent.empty());
-  EXPECT_EQ(effect.sent[0].message.path, inst.parse_path("xd"));
+  EXPECT_EQ(inst.path(effect.sent[0].path), inst.parse_path("xd"));
 }
 
 TEST_F(ExecutorTest, LosingAllRoutesAnnouncesWithdrawal) {
@@ -149,7 +149,7 @@ TEST_F(ExecutorTest, LosingAllRoutesAnnouncesWithdrawal) {
   EXPECT_TRUE(state.assignment(x).empty());
   ASSERT_EQ(effect.sent.size(), 2u);
   for (const SentMessage& m : effect.sent) {
-    EXPECT_TRUE(m.message.path.empty());
+    EXPECT_EQ(m.path, spp::kEpsilonPath);
   }
 }
 
@@ -193,8 +193,8 @@ TEST_F(ExecutorTest, EffectReportsOldAndNewAssignments) {
   activate_d();
   const StepEffect effect = execute_step(state, read_one_step(inst, x, d));
   ASSERT_EQ(effect.nodes.size(), 1u);
-  EXPECT_TRUE(effect.nodes[0].old_assignment.empty());
-  EXPECT_EQ(effect.nodes[0].new_assignment, inst.parse_path("xd"));
+  EXPECT_EQ(effect.nodes[0].old_assignment, spp::kEpsilonPath);
+  EXPECT_EQ(inst.path(effect.nodes[0].new_assignment), inst.parse_path("xd"));
 }
 
 TEST_F(ExecutorTest, EpsilonSelectionReportsNoChannel) {

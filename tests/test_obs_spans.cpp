@@ -418,52 +418,57 @@ TEST(EngineRun, ProducesRunStepActivateHierarchy) {
 
 TEST(CheckerExplore, ProducesExploreBatchExpandPruneHierarchy) {
   const spp::Instance dis = spp::disagree();
-  obs::SpanCollector collector;
-  obs::Registry registry;
-  checker::ExploreOptions options;
-  options.max_channel_length = 3;
-  options.obs.spans = &collector;
-  options.obs.metrics = &registry;
-  const auto result = checker::explore(dis, Model::parse("RMS"), options);
-  EXPECT_GE(result.states, 1u);
+  // Worker expand spans nest under their batch at any thread width.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::SpanCollector collector;
+    obs::Registry registry;
+    checker::ExploreOptions options;
+    options.max_channel_length = 3;
+    options.threads = threads;
+    options.obs.spans = &collector;
+    options.obs.metrics = &registry;
+    const auto result = checker::explore(dis, Model::parse("RMS"), options);
+    EXPECT_GE(result.states, 1u);
 
-  const auto records = collector.snapshot();
-  ASSERT_EQ(count_spans(records, "checker.explore"), 1u);
-  EXPECT_GE(count_spans(records, "checker.frontier_batch"), 1u);
-  EXPECT_GE(count_spans(records, "checker.expand"), 1u);
-  EXPECT_GE(count_spans(records, "checker.scc_prune_pass"), 1u);
+    const auto records = collector.snapshot();
+    ASSERT_EQ(count_spans(records, "checker.explore"), 1u);
+    EXPECT_GE(count_spans(records, "checker.frontier_batch"), 1u);
+    EXPECT_GE(count_spans(records, "checker.expand"), 1u);
+    EXPECT_GE(count_spans(records, "checker.scc_prune_pass"), 1u);
 
-  const obs::SpanRecord* explore = find_span(records, "checker.explore");
-  EXPECT_EQ(explore->parent, 0u);
-  const auto args = parse_or_die(explore->args_json);
-  EXPECT_DOUBLE_EQ(args.find("states")->as_number(),
-                   static_cast<double>(result.states));
+    const obs::SpanRecord* explore = find_span(records, "checker.explore");
+    EXPECT_EQ(explore->parent, 0u);
+    const auto args = parse_or_die(explore->args_json);
+    EXPECT_DOUBLE_EQ(args.find("states")->as_number(),
+                     static_cast<double>(result.states));
 
-  for (const obs::SpanRecord& rec : records) {
-    if (rec.name == "checker.frontier_batch" ||
-        rec.name == "checker.scc_prune_pass") {
-      EXPECT_EQ(rec.parent, explore->id) << rec.name;  // siblings
-    } else if (rec.name == "checker.expand") {
-      const auto parent = std::find_if(
-          records.begin(), records.end(),
-          [&](const obs::SpanRecord& r) { return r.id == rec.parent; });
-      ASSERT_NE(parent, records.end());
-      EXPECT_EQ(parent->name, "checker.frontier_batch");
+    for (const obs::SpanRecord& rec : records) {
+      if (rec.name == "checker.frontier_batch" ||
+          rec.name == "checker.scc_prune_pass") {
+        EXPECT_EQ(rec.parent, explore->id) << rec.name;  // siblings
+      } else if (rec.name == "checker.expand") {
+        const auto parent = std::find_if(
+            records.begin(), records.end(),
+            [&](const obs::SpanRecord& r) { return r.id == rec.parent; });
+        ASSERT_NE(parent, records.end());
+        EXPECT_EQ(parent->name, "checker.frontier_batch");
+      }
     }
-  }
 
-  // Per-expansion durations landed in the checker.expand_us histogram.
-  const auto samples = registry.snapshot();
-  const auto hist = std::find_if(
-      samples.begin(), samples.end(), [](const obs::MetricSample& s) {
-        return s.name == "checker.expand_us" &&
-               s.kind == obs::MetricSample::Kind::kHistogram;
-      });
-  ASSERT_NE(hist, samples.end());
-  // Bound-skipped expansions record a span but skip the observe, so the
-  // histogram can trail the span count slightly — never exceed it.
-  EXPECT_GE(hist->value, 1u);
-  EXPECT_LE(hist->value, count_spans(records, "checker.expand"));
+    // Per-expansion durations landed in the checker.expand_us histogram.
+    const auto samples = registry.snapshot();
+    const auto hist = std::find_if(
+        samples.begin(), samples.end(), [](const obs::MetricSample& s) {
+          return s.name == "checker.expand_us" &&
+                 s.kind == obs::MetricSample::Kind::kHistogram;
+        });
+    ASSERT_NE(hist, samples.end());
+    // Bound-skipped expansions record a span but skip the observe, so the
+    // histogram can trail the span count slightly — never exceed it.
+    EXPECT_GE(hist->value, 1u);
+    EXPECT_LE(hist->value, count_spans(records, "checker.expand"));
+  }
 }
 
 TEST(CheckerExplore, HeartbeatsCarryElapsedMs) {
@@ -508,32 +513,36 @@ TEST(CheckerExplore, TimeBasedHeartbeatsStayQuietUnderTheInterval) {
 
 TEST(Campaign, RowsNestUnderTheCampaignAndEngineRunsUnderRows) {
   const spp::Instance good = spp::good_gadget();
-  obs::SpanCollector collector;
-  study::CampaignSpec spec;
-  spec.instances = {{"GOOD", &good}};
-  spec.models = {Model::parse("RMS")};
-  spec.schedulers = {study::SchedulerKind::kRoundRobin,
-                     study::SchedulerKind::kSynchronous};
-  spec.obs.spans = &collector;
-  const auto result = study::run_campaign(spec);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    obs::SpanCollector collector;
+    study::CampaignSpec spec;
+    spec.instances = {{"GOOD", &good}};
+    spec.models = {Model::parse("RMS")};
+    spec.schedulers = {study::SchedulerKind::kRoundRobin,
+                       study::SchedulerKind::kSynchronous};
+    spec.threads = threads;
+    spec.obs.spans = &collector;
+    const auto result = study::run_campaign(spec);
 
-  const auto records = collector.snapshot();
-  ASSERT_EQ(count_spans(records, "campaign.run"), 1u);
-  EXPECT_EQ(count_spans(records, "campaign.row"), result.rows.size());
-  EXPECT_EQ(count_spans(records, "engine.run"), result.rows.size());
+    const auto records = collector.snapshot();
+    ASSERT_EQ(count_spans(records, "campaign.run"), 1u);
+    EXPECT_EQ(count_spans(records, "campaign.row"), result.rows.size());
+    EXPECT_EQ(count_spans(records, "engine.run"), result.rows.size());
 
-  const obs::SpanRecord* campaign = find_span(records, "campaign.run");
-  for (const obs::SpanRecord& rec : records) {
-    if (rec.name == "campaign.row") {
-      EXPECT_EQ(rec.parent, campaign->id);
-      EXPECT_EQ(parse_or_die(rec.args_json).find("instance")->as_string(),
-                "GOOD");
-    } else if (rec.name == "engine.run") {
-      const auto parent = std::find_if(
-          records.begin(), records.end(),
-          [&](const obs::SpanRecord& r) { return r.id == rec.parent; });
-      ASSERT_NE(parent, records.end());
-      EXPECT_EQ(parent->name, "campaign.row");
+    const obs::SpanRecord* campaign = find_span(records, "campaign.run");
+    for (const obs::SpanRecord& rec : records) {
+      if (rec.name == "campaign.row") {
+        EXPECT_EQ(rec.parent, campaign->id);
+        EXPECT_EQ(parse_or_die(rec.args_json).find("instance")->as_string(),
+                  "GOOD");
+      } else if (rec.name == "engine.run") {
+        const auto parent = std::find_if(
+            records.begin(), records.end(),
+            [&](const obs::SpanRecord& r) { return r.id == rec.parent; });
+        ASSERT_NE(parent, records.end());
+        EXPECT_EQ(parent->name, "campaign.row");
+      }
     }
   }
 }
@@ -581,6 +590,33 @@ TEST(SpanCollectorMerge, OffsetsIdsParentsAndTids) {
   // dense tid so timelines never collide.
   EXPECT_NE(outer->tid, main_rec->tid);
   EXPECT_EQ(inner->tid, outer->tid);
+}
+
+TEST(SpanCollectorMerge, RootsBegunUnderARootParentKeepItAcrossTheMerge) {
+  obs::SpanCollector target;
+  obs::SpanCollector shard;
+  {
+    obs::Span other = target.begin("other");  // target ids move past 1
+  }
+  obs::Span main_span = target.begin("main");
+  EXPECT_EQ(target.open_span(), 2u);
+  shard.set_root_parent(target.open_span());
+  {
+    obs::Span outer = shard.begin("outer");
+    obs::Span inner = shard.begin("inner");
+  }
+  main_span.finish();
+  EXPECT_EQ(target.open_span(), 0u);
+  target.merge_from(shard);
+
+  const auto records = target.snapshot();
+  const obs::SpanRecord* outer = find_span(records, "outer");
+  const obs::SpanRecord* inner = find_span(records, "inner");
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(outer->parent, 2u);  // "main", not re-based
+  EXPECT_EQ(inner->parent, outer->id);
+  EXPECT_FALSE(outer->adopted);
 }
 
 TEST(SpanCollectorMerge, NewSpansAfterMergeStayUnique) {

@@ -85,7 +85,7 @@ TEST(Recording, CapturesStepsEffectsAndFinalState) {
   ASSERT_EQ(rec.steps.size(), 2u);
   EXPECT_EQ(rec.steps[0].step.node(), d);
   EXPECT_EQ(rec.steps[0].effect.sent.size(), 2u);
-  EXPECT_EQ(rec.steps[1].effect.nodes[0].new_assignment,
+  EXPECT_EQ(inst.path(rec.steps[1].effect.nodes[0].new_assignment),
             inst.parse_path("xd"));
   EXPECT_EQ(rec.final_state.assignment(x), inst.parse_path("xd"));
 }
