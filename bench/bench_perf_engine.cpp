@@ -86,6 +86,29 @@ void BM_FullConvergenceRun(benchmark::State& state) {
 }
 BENCHMARK(BM_FullConvergenceRun)->DenseRange(0, 23, 6);
 
+// Per-step cost as the network grows: R1O round-robin to convergence
+// (no trace, no cycle table), items = executed steps.
+void BM_EngineRunBySize(benchmark::State& state) {
+  const spp::Instance& inst =
+      bench::sized_instance(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    engine::RoundRobinScheduler sched(Model::parse("R1O"), inst);
+    const auto result = engine::run(inst, sched,
+                                    {.max_steps = 10'000'000,
+                                     .record_trace = false,
+                                     .detect_cycles = false});
+    steps += result.steps;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_EngineRunBySize)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SchedulerNext(benchmark::State& state) {
   const spp::Instance& inst = medium_instance();
   engine::RandomFairScheduler sched(Model::parse("UMS"), inst, Rng(3),

@@ -98,6 +98,31 @@ void BM_SimRunMedium(benchmark::State& state) {
 }
 BENCHMARK(BM_SimRunMedium);
 
+// Per-step cost as the network grows: REA with exponential 2 ms links
+// to convergence, items = executed steps.
+void BM_SimRunBySize(benchmark::State& state) {
+  const spp::Instance& inst =
+      bench::sized_instance(static_cast<std::size_t>(state.range(0)));
+  std::uint64_t steps = 0;
+  for (auto _ : state) {
+    sim::SimOptions opts;
+    opts.model = model::Model::parse("REA");
+    opts.link.dist = sim::LatencyDist::kExponential;
+    opts.link.latency_us = 2000;
+    opts.seed = 1;
+    opts.max_steps = 10'000'000;
+    const sim::SimResult result = sim::run(inst, opts);
+    steps += result.run.steps;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));
+}
+BENCHMARK(BM_SimRunBySize)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

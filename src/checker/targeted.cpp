@@ -34,8 +34,11 @@ RealizationSearchResult find_realization(
 
   RealizationSearchResult result;
 
+  // The search compares every successor against target entries: rebuild
+  // them once rather than per lookup.
+  const std::vector<trace::Assignment> target_at = target.states();
   engine::NetworkState initial(instance);
-  CR_REQUIRE(initial.assignments() == target.at(0),
+  CR_REQUIRE(initial.assignments() == target_at[0],
              "target trace must start at the initial assignment");
   const std::size_t last = target.size() - 1;
   if (target.size() == 1 && !options.require_convergent_tail) {
@@ -109,25 +112,25 @@ RealizationSearchResult find_realization(
       if (pos == last) {
         // Tail phase: the assignment must hold at target.back() until
         // strong quiescence (only reachable with require_convergent_tail).
-        if (pi == target.at(last)) {
+        if (pi == target_at[last]) {
           next_pos = last;
         }
       } else {
         switch (sense) {
           case trace::MatchKind::kExact:
-            if (pi == target.at(pos + 1)) {
+            if (pi == target_at[pos + 1]) {
               next_pos = pos + 1;
             }
             break;
           case trace::MatchKind::kRepetition:
-            if (pi == target.at(pos + 1)) {
+            if (pi == target_at[pos + 1]) {
               next_pos = pos + 1;
-            } else if (pi == target.at(pos)) {
+            } else if (pi == target_at[pos]) {
               next_pos = pos;
             }
             break;
           case trace::MatchKind::kSubsequence:
-            next_pos = (pi == target.at(pos + 1)) ? pos + 1 : pos;
+            next_pos = (pi == target_at[pos + 1]) ? pos + 1 : pos;
             break;
           case trace::MatchKind::kNone:
             break;

@@ -165,12 +165,19 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   const bool sketched = options.budget == obs::ObsBudget::kSketched;
   const bool record_trace = options.record_trace && !sketched;
   const bool account_obs = options.obs_memory != nullptr;
-  auto assignment_bytes = [&state]() {
-    std::uint64_t b = 0;
-    for (const Path& p : state.assignments()) {
-      b += sizeof(Path) + p.size() * sizeof(NodeId);
+  // Trace growth is charged as one full assignment per entry: a Path per
+  // node plus the nodes of every assigned path, whose running total
+  // follows the steps' changes.
+  std::uint64_t assigned_nodes = 0;
+  auto count_assigned_nodes = [&]() {
+    assigned_nodes = 0;
+    for (NodeId v = 0; v < instance.node_count(); ++v) {
+      assigned_nodes += instance.path(state.assignment_id(v)).size();
     }
-    return b;
+  };
+  auto assignment_bytes = [&]() {
+    return instance.node_count() * sizeof(Path) +
+           assigned_nodes * sizeof(NodeId);
   };
 
   const bool recording =
@@ -217,6 +224,7 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   }
   if (record_trace) {
     result.trace = trace::Trace(state.assignments());
+    count_assigned_nodes();
     if (account_obs) {
       account(assignment_bytes());
     }
@@ -302,9 +310,12 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
 
     obs::Span step_span = options.obs.span("engine.step");
     const model::ActivationStep step = scheduler.next(state);
+    // A fault (e.g. a reboot) can rewrite pi outside any step effect.
+    bool faulted = false;
     if (hook != nullptr) {
       // Faults applied inside next() happen before the step it returned.
       for (AppliedFault& fault : hook->drain_applied()) {
+        faulted = true;
         ++result.faults_applied;
         if (recording) {
           recorder->record_fault(fault.text, fault.t_us, result.steps + 1);
@@ -324,6 +335,7 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     fairness.begin_step();
     const StepEffect effect =
         execute_step(state, step, options.obs.spans);
+    scheduler.on_step(effect);
     ++result.steps;
     if (step_span.enabled()) {
       step_span.attr("step", result.steps);
@@ -358,11 +370,15 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     if (any_changed) {
       last_change_step = result.steps;
     }
-    const NetworkState::ChannelUsage usage = state.channel_usage();
-    result.max_channel_occupancy =
-        std::max(result.max_channel_occupancy, usage.max_length);
+    // Exact high-water marks from what the step touched: reads and faults
+    // only remove messages, and a channel gets at most one push per step,
+    // after the step's reads.
+    for (const SentMessage& sent : effect.sent) {
+      result.max_channel_occupancy = std::max(
+          result.max_channel_occupancy, state.channel(sent.channel).size());
+    }
     result.peak_channel_bytes =
-        std::max(result.peak_channel_bytes, usage.bytes);
+        std::max(result.peak_channel_bytes, state.in_flight_bytes());
 
     if (options.obs.sink != nullptr && options.emit_step_events) {
       obs::Event ev("engine_step");
@@ -375,7 +391,21 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     }
 
     if (record_trace) {
-      result.trace.record(state.assignments());
+      if (faulted) {
+        result.trace.record(state.assignments());
+        count_assigned_nodes();
+      } else {
+        std::vector<trace::Change> changes;
+        for (const NodeEffect& node : effect.nodes) {
+          if (node.changed) {
+            const Path& path = instance.path(node.new_assignment);
+            changes.push_back(trace::Change{node.node, path});
+            assigned_nodes = assigned_nodes + path.size() -
+                             instance.path(node.old_assignment).size();
+          }
+        }
+        result.trace.record_changes(std::move(changes));
+      }
       if (account_obs) {
         account(assignment_bytes());
       }

@@ -102,8 +102,10 @@ struct RunOptions {
   /// Observability-memory accounting: when attached, run() adds its
   /// deterministic byte estimates (trace growth + node_activations in
   /// kFull; sketch sizes in kSketched) so the budget contract is
-  /// measurable. Borrowed; deterministic (element counts, never
-  /// capacity or clocks).
+  /// measurable. Trace growth is charged as one full assignment per
+  /// recorded entry (a Path per node plus its nodes), although the trace
+  /// stores only the changes. Borrowed; deterministic (element counts,
+  /// never capacity or clocks).
   obs::TrackedBytes* obs_memory = nullptr;
   /// Fault injection (scenario subsystem): bound to the state before the
   /// loop; quiescence does not end the run while faults are pending, and
@@ -152,7 +154,7 @@ struct RunResult {
   /// High-water mark of any single channel's queue length.
   std::size_t max_channel_occupancy = 0;
   /// High-water mark of the total in-flight message bytes across all
-  /// channels (deterministic estimate, see NetworkState::channel_usage).
+  /// channels (deterministic estimate, see NetworkState::in_flight_bytes).
   std::size_t peak_channel_bytes = 0;
   /// Present when the flight recorder was on: the recorded window
   /// (complete in kFull mode, the last N steps in kRing mode).

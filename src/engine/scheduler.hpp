@@ -24,6 +24,8 @@
 
 namespace commroute::engine {
 
+struct StepEffect;
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -31,6 +33,10 @@ class Scheduler {
   /// Produces the next step. `state` may inform the choice (e.g. message
   /// counts for f / g selection) but schedulers must not mutate it.
   virtual model::ActivationStep next(const class NetworkState& state) = 0;
+
+  /// Called by run() right after the step next() returned has executed,
+  /// with that step's effect (e.g. the sim times the messages it sent).
+  virtual void on_step(const StepEffect& /*effect*/) {}
 
   /// A value that, together with the network state, determines all future
   /// scheduler behavior (e.g. position in a looped script). Runners use

@@ -89,13 +89,13 @@ std::size_t NetworkState::max_channel_length() const {
   return longest;
 }
 
-std::size_t NetworkState::queued_bytes() const {
+std::size_t NetworkState::in_flight_bytes() const {
   return messages_in_flight() * kLegacyMessageBytes +
          queued_nodes_ * kNodeBytes;
 }
 
 NetworkState::ChannelUsage NetworkState::channel_usage() const {
-  return ChannelUsage{max_channel_length(), queued_bytes()};
+  return ChannelUsage{max_channel_length(), in_flight_bytes()};
 }
 
 std::size_t NetworkState::estimated_bytes() const {
@@ -115,7 +115,7 @@ std::size_t NetworkState::estimated_bytes() const {
          (path_nodes(0, nodes_) + path_nodes(rho_at(), channels_)) *
              kNodeBytes +
          // queues and their messages
-         channels_ * kLegacyChannelBytes + queued_bytes() +
+         channels_ * kLegacyChannelBytes + in_flight_bytes() +
          // last exports
          channels_ * kLegacyExportBytes +
          path_nodes(exported_at(), channels_) * kNodeBytes;

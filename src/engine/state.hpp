@@ -169,11 +169,15 @@ class NetworkState {
     return words_.size() - arena_at();
   }
 
+  /// In-flight message bytes in the byte model of estimated_bytes(),
+  /// in O(1): the engine samples it every step for peak_channel_bytes.
+  std::size_t in_flight_bytes() const;
+
   /// Length of the longest channel.
   std::size_t max_channel_length() const;
 
-  /// Channel occupancy (longest channel) and in-flight message bytes,
-  /// computed in one pass — the engine samples both every step.
+  /// Channel occupancy (max_channel_length(), a pass over the channels)
+  /// and in_flight_bytes() together.
   struct ChannelUsage {
     std::size_t max_length = 0;
     std::size_t bytes = 0;
@@ -257,9 +261,6 @@ class NetworkState {
   std::size_t queue_size(ChannelIdx c) const {
     return words_[offsets_at() + c + 1] - words_[offsets_at() + c];
   }
-  /// In-flight message bytes in the byte model of estimated_bytes().
-  std::size_t queued_bytes() const;
-
   spp::PathId checked(spp::PathId id) const {
     CR_REQUIRE(id < instance_->path_count(),
                "path id " + std::to_string(id) + " out of range");
@@ -278,7 +279,7 @@ class NetworkState {
   std::vector<std::uint32_t> words_;
   std::vector<Tag> tags_;  ///< sorted by (channel, index); usually empty
   /// Summed path lengths of the queued messages (derived from the arena;
-  /// kept so channel_usage() needs no pass over it).
+  /// kept so in_flight_bytes() needs no pass over it).
   std::uint64_t queued_nodes_ = 0;
 };
 

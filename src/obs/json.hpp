@@ -65,6 +65,11 @@ class JsonValue {
 
   bool as_bool() const { return std::get<bool>(value); }
   double as_number() const { return std::get<double>(value); }
+  /// The number as a uint64_t when it is an integer with
+  /// 0 <= x < 2^64; nullopt for anything else (non-numbers, fractions,
+  /// negatives, values a cast could not represent). Loaders turn nullopt
+  /// into a ParseError naming the field.
+  std::optional<std::uint64_t> as_u64() const;
   const std::string& as_string() const { return std::get<std::string>(value); }
   const Array& as_array() const { return std::get<Array>(value); }
   const Object& as_object() const { return std::get<Object>(value); }

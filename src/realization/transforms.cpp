@@ -81,6 +81,7 @@ model::ActivationScript expand_multi(const spp::Instance& instance,
                                      const Model& target,
                                      const trace::Recording& recording) {
   const Graph& g = instance.graph();
+  const std::vector<trace::Assignment> pi = recording.trace.states();
   model::ActivationScript out;
 
   for (std::size_t t = 0; t < recording.steps.size(); ++t) {
@@ -97,8 +98,8 @@ model::ActivationScript expand_multi(const spp::Instance& instance,
       continue;
     }
 
-    const Path& old_path = recording.trace.at(t)[v];       // P
-    const Path& new_path = recording.trace.at(t + 1)[v];   // Q
+    const Path& old_path = pi[t][v];      // P
+    const Path& new_path = pi[t + 1][v];  // Q
     const ChannelIdx new_channel =
         (new_path.size() >= 2) ? g.channel(new_path.next_hop(), v)
                                : kNoChannel;

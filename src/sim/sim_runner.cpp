@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <span>
 #include <utility>
 
+#include "engine/executor.hpp"
 #include "engine/fault_hook.hpp"
 #include "engine/scheduler.hpp"
 #include "engine/state.hpp"
@@ -17,7 +19,7 @@ namespace commroute::sim {
 
 namespace {
 
-/// One message traversing a channel, mirrored from the engine's queue.
+/// One message traversing a channel, in step with the engine's queue.
 struct InFlight {
   VirtualTime arrival = 0;
   bool lost = false;
@@ -35,11 +37,12 @@ void check_link(const LinkModel& link, const model::Model& m,
 
 /// engine::Scheduler that derives steps from the discrete-event loop.
 ///
-/// The scheduler mirrors every engine channel with a deque of arrival
-/// times: new messages appearing at a channel's tail since the previous
-/// next() call are the sends of the last executed step, stamped with the
-/// step's virtual time plus a sampled link latency (clamped to preserve
-/// FIFO order). Arrival events schedule node activations (after the
+/// The scheduler keeps every engine channel's queue as a deque of arrival
+/// times. on_step() queues the channels the executed step sent on; the
+/// next next() call stamps each send with the step's virtual time plus a
+/// sampled link latency (clamped to preserve FIFO order). Sampling waits
+/// for next() so a run that stops first never draws for its last step's
+/// sends. Arrival events schedule node activations (after the
 /// node's processing delay, batched by its MRAI timer); activation
 /// events are shaped into a step that is legal in the configured model
 /// and touches only virtually-arrived messages, deferring the
@@ -110,8 +113,14 @@ class SimScheduler final : public engine::Scheduler,
     return out;
   }
 
-  model::ActivationStep next(const engine::NetworkState& state) override {
-    sync_sends(state);
+  void on_step(const engine::StepEffect& effect) override {
+    for (const engine::SentMessage& sent : effect.sent) {
+      unsampled_.push_back(sent.channel);
+    }
+  }
+
+  model::ActivationStep next(const engine::NetworkState& /*state*/) override {
+    sample_sends();
     for (;;) {
       // The run loop only calls next() when the network is not strongly
       // quiescent: either messages are in flight (their arrival events
@@ -184,48 +193,45 @@ class SimScheduler final : public engine::Scheduler,
   VirtualTime last_fault_us() const { return last_fault_us_; }
 
  private:
-  /// Detects the sends of the previously executed step: any message
-  /// beyond our mirror of a channel's queue is new. Channels are scanned
-  /// in index order so RNG consumption is deterministic.
-  void sync_sends(const engine::NetworkState& state) {
-    const Graph& g = inst_->graph();
-    for (ChannelIdx c = 0; c < g.channel_count(); ++c) {
-      const std::size_t mirrored = inflight_[c].size();
-      const std::size_t actual = state.channel(c).size();
-      CR_ASSERT(actual >= mirrored, "sim channel mirror ahead of engine");
-      for (std::size_t i = mirrored; i < actual; ++i) {
-        const std::uint64_t latency = links_[c].sample_latency(rng_);
-        bool lost = loss_[c].sample(rng_);
-        // FIFO clamp: a fast sample never overtakes the previous message.
-        VirtualTime arrival =
-            std::max(last_arrival_[c], last_step_time_ + latency);
-        if (down_[c] != 0) {
-          if (opts_->model.reliable()) {
-            // A Reliable link cannot drop: the send waits out the outage
-            // (init_faults guarantees a matching link-up exists).
-            arrival = std::max(arrival, down_until_[c]);
-          } else {
-            lost = true;  // sent into the cut — dropped at the reader (g)
-          }
+  /// Samples latency and loss for the sends of the previously executed
+  /// step (queued by on_step). Channels go in index order so RNG
+  /// consumption is deterministic; each channel has at most one send per
+  /// step.
+  void sample_sends() {
+    std::sort(unsampled_.begin(), unsampled_.end());
+    for (const ChannelIdx c : unsampled_) {
+      const std::uint64_t latency = links_[c].sample_latency(rng_);
+      bool lost = loss_[c].sample(rng_);
+      // FIFO clamp: a fast sample never overtakes the previous message.
+      VirtualTime arrival =
+          std::max(last_arrival_[c], last_step_time_ + latency);
+      if (down_[c] != 0) {
+        if (opts_->model.reliable()) {
+          // A Reliable link cannot drop: the send waits out the outage
+          // (init_faults guarantees a matching link-up exists).
+          arrival = std::max(arrival, down_until_[c]);
+        } else {
+          lost = true;  // sent into the cut — dropped at the reader (g)
         }
-        last_arrival_[c] = arrival;
-        inflight_[c].push_back(InFlight{arrival, lost});
-        Event ev;
-        ev.time = arrival;
-        ev.kind = Event::Kind::kArrival;
-        ev.channel = c;
-        queue_.push(ev);
-        if (sketched_) {
-          latency_hist_.observe(latency);
-        }
-        ++latency_samples_;
-        latency_sum_us_ += latency;
-        latency_min_us_ = latency_samples_ == 1
-                              ? latency
-                              : std::min(latency_min_us_, latency);
-        latency_max_us_ = std::max(latency_max_us_, latency);
       }
+      last_arrival_[c] = arrival;
+      inflight_[c].push_back(InFlight{arrival, lost});
+      Event ev;
+      ev.time = arrival;
+      ev.kind = Event::Kind::kArrival;
+      ev.channel = c;
+      queue_.push(ev);
+      if (sketched_) {
+        latency_hist_.observe(latency);
+      }
+      ++latency_samples_;
+      latency_sum_us_ += latency;
+      latency_min_us_ = latency_samples_ == 1
+                            ? latency
+                            : std::min(latency_min_us_, latency);
+      latency_max_us_ = std::max(latency_max_us_, latency);
     }
+    unsampled_.clear();
   }
 
   /// Queues a processing activation for v unless one is already pending.
@@ -354,7 +360,7 @@ class SimScheduler final : public engine::Scheduler,
         const scenario::FaultStateEffect eff =
             scenario::apply_fault(*state_, f);
         for (const ChannelIdx c : eff.flushed) {
-          // The engine channel was emptied; drop our mirror with it
+          // The engine channel was emptied; drop our copy with it
           // (stale kArrival events only trigger no-op activations).
           // last_arrival_ is kept: post-fault sends stay FIFO-safe.
           inflight_[c].clear();
@@ -579,6 +585,7 @@ class SimScheduler final : public engine::Scheduler,
   std::vector<LossProcess> loss_;
   std::vector<NodeModel> nodes_;
   std::vector<std::deque<InFlight>> inflight_;
+  std::vector<ChannelIdx> unsampled_;  ///< sends awaiting sample_sends()
   std::vector<VirtualTime> last_arrival_;
   std::vector<char> activation_scheduled_;
   std::vector<VirtualTime> last_activation_;
@@ -673,10 +680,10 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
     result.critical_path_us = result.run.causality->critical_path_us();
   }
 
-  // Flap times from the recorded pi-sequence: trace entry t is the state
-  // after step t (entry 0 = initial), executed at step_time_us[t - 1].
-  // Skipped under the sketched budget (no trace, no step_time_us) —
-  // run.flap_topk carries the bounded per-node flap counts instead.
+  // Flap times from the recorded pi-sequence: step t's changes happened
+  // at step_time_us[t - 1]. Skipped under the sketched budget (no trace,
+  // no step_time_us) — run.flap_topk carries the bounded per-node flap
+  // counts instead.
   const trace::Trace& tr = result.run.trace;
   if (!sketched) {
     result.last_flap_us.assign(instance.node_count(), 0);
@@ -684,16 +691,11 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
   CR_ASSERT(sketched || tr.size() == result.step_time_us.size() + 1,
             "sim trace / step-time length mismatch");
   for (std::size_t t = 1; t < tr.size(); ++t) {
-    const trace::Assignment& prev = tr.at(t - 1);
-    const trace::Assignment& cur = tr.at(t);
-    bool changed = false;
-    for (NodeId v = 0; v < instance.node_count(); ++v) {
-      if (prev[v] != cur[v]) {
-        result.last_flap_us[v] = result.step_time_us[t - 1];
-        changed = true;
-      }
+    const std::span<const trace::Change> changes = tr.changes(t);
+    for (const trace::Change& change : changes) {
+      result.last_flap_us[change.node] = result.step_time_us[t - 1];
     }
-    if (changed) {
+    if (!changes.empty()) {
       result.last_change_us = result.step_time_us[t - 1];
     }
   }
@@ -808,12 +810,21 @@ SimResult SimResult::from_json(const std::string& json) {
   if (!parsed.has_value() || !parsed->is_object()) {
     throw ParseError("sim_summary: not a JSON object");
   }
+  const auto checked_u64 = [](const obs::JsonValue& v,
+                              const std::string& key) {
+    const std::optional<std::uint64_t> n = v.as_u64();
+    if (!n.has_value()) {
+      throw ParseError("sim_summary: field \"" + key +
+                       "\" must be an integer in [0, 2^64)");
+    }
+    return *n;
+  };
   const auto u64 = [&](const std::string& key) {
     const obs::JsonValue* v = parsed->find(key);
     if (v == nullptr || !v->is_number()) {
       throw ParseError("sim_summary: missing numeric field \"" + key + "\"");
     }
-    return static_cast<std::uint64_t>(v->as_number());
+    return checked_u64(*v, key);
   };
 
   SimResult r;
@@ -843,9 +854,7 @@ SimResult SimResult::from_json(const std::string& json) {
   // 0 when reading older documents.
   const auto u64_or_zero = [&](const std::string& key) -> std::uint64_t {
     const obs::JsonValue* v = parsed->find(key);
-    return (v != nullptr && v->is_number())
-               ? static_cast<std::uint64_t>(v->as_number())
-               : 0;
+    return (v != nullptr && v->is_number()) ? checked_u64(*v, key) : 0;
   };
   r.queue_peak_events = u64_or_zero("queue_peak_events");
   r.queue_peak_bytes = u64_or_zero("queue_peak_bytes");
@@ -863,7 +872,7 @@ SimResult SimResult::from_json(const std::string& json) {
     if (!f.is_number()) {
       throw ParseError("sim_summary: last_flap_us entries must be numbers");
     }
-    r.last_flap_us.push_back(static_cast<std::uint64_t>(f.as_number()));
+    r.last_flap_us.push_back(checked_u64(f, "last_flap_us"));
   }
   return r;
 }

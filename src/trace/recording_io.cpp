@@ -132,10 +132,12 @@ std::string io_selected_json(const StepIo& io) {
 
 std::uint64_t u64_elem(const obs::JsonValue& v, std::size_t line,
                        const char* what) {
-  if (!v.is_number() || v.as_number() < 0) {
-    fail(line, std::string("bad ") + what);
+  const std::optional<std::uint64_t> n = v.as_u64();
+  if (!n.has_value()) {
+    fail(line, std::string("bad ") + what +
+                   " (expected an integer in [0, 2^64))");
   }
-  return static_cast<std::uint64_t>(v.as_number());
+  return *n;
 }
 
 const obs::JsonValue& require_field(const obs::JsonValue& record,
@@ -215,14 +217,15 @@ StepIo io_from_record(const spp::Instance& instance,
       if (!c.is_number()) {
         fail(line, "selection entry is not a number");
       }
-      const double n = c.as_number();
-      if (n < 0) {
+      if (c.as_number() < 0) {
         io.selected.push_back(kNoChannel);  // -1 = epsilon / destination
-      } else if (n >= static_cast<double>(channels)) {
-        fail(line, "selection channel out of range");
-      } else {
-        io.selected.push_back(static_cast<ChannelIdx>(n));
+        continue;
       }
+      const std::uint64_t idx = u64_elem(c, line, "selection channel");
+      if (idx >= channels) {
+        fail(line, "selection channel out of range");
+      }
+      io.selected.push_back(static_cast<ChannelIdx>(idx));
     }
     if (io.selected.size() != step_nodes) {
       fail(line, "\"sel\" must hold one entry per updating node");
@@ -271,14 +274,15 @@ RecordingDoc doc_from_recording(const Recording& recording,
   RecordingDoc doc;
   doc.meta = std::move(meta);
   doc.meta.first_step = 1;
-  doc.initial = recording.trace.at(0);
+  std::vector<Assignment> states = recording.trace.states();
+  doc.initial = std::move(states[0]);
   doc.steps.reserve(recording.steps.size());
   doc.assignments.reserve(recording.steps.size());
   doc.io.reserve(recording.steps.size());
   for (std::size_t t = 0; t < recording.steps.size(); ++t) {
     const RecordedStep& rec = recording.steps[t];
     doc.steps.push_back(rec.step);
-    doc.assignments.push_back(recording.trace.at(t + 1));
+    doc.assignments.push_back(std::move(states[t + 1]));
     StepIo io;
     for (const engine::SentMessage& sent : rec.effect.sent) {
       io.sent.push_back(sent.channel);

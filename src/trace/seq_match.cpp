@@ -21,7 +21,7 @@ std::string to_string(MatchKind kind) {
 }
 
 bool matches_exactly(const Trace& original, const Trace& candidate) {
-  return original.states() == candidate.states();
+  return original == candidate;
 }
 
 bool matches_with_repetition(const Trace& original, const Trace& candidate) {
@@ -35,7 +35,7 @@ bool matches_as_subsequence(const Trace& original, const Trace& candidate) {
   // Stutter-invariant reading: the collapsed original embeds into the
   // candidate (see seq_match.hpp).
   const std::vector<Assignment> a = original.collapsed();
-  const auto& b = candidate.states();
+  const std::vector<Assignment> b = candidate.states();
   std::size_t i = 0;
   for (std::size_t j = 0; j < b.size() && i < a.size(); ++j) {
     if (b[j] == a[i]) {
@@ -48,8 +48,13 @@ bool matches_as_subsequence(const Trace& original, const Trace& candidate) {
 std::optional<std::size_t> first_divergence(const Trace& a,
                                             const Trace& b) {
   const std::size_t common = std::min(a.size(), b.size());
-  for (std::size_t t = 0; t < common; ++t) {
-    if (a.at(t) != b.at(t)) {
+  if (common > 0 && a.at(0) != b.at(0)) {
+    return 0;
+  }
+  // While the entries agree, pi(t) agrees iff step t made the same
+  // changes (traces store real changes only, sorted by node).
+  for (std::size_t t = 1; t < common; ++t) {
+    if (!std::ranges::equal(a.changes(t), b.changes(t))) {
       return t;
     }
   }
@@ -72,11 +77,12 @@ std::string divergence_report(const spp::Instance& instance, const Trace& a,
     return out;
   }
   out += ":";
+  const Assignment pa = a.at(*at);
+  const Assignment pb = b.at(*at);
   for (NodeId v = 0; v < instance.node_count(); ++v) {
-    if (a.at(*at)[v] != b.at(*at)[v]) {
-      out += " " + instance.graph().name(v) + "=" +
-             instance.path_name(a.at(*at)[v]) + " vs " +
-             instance.path_name(b.at(*at)[v]);
+    if (pa[v] != pb[v]) {
+      out += " " + instance.graph().name(v) + "=" + instance.path_name(pa[v]) +
+             " vs " + instance.path_name(pb[v]);
     }
   }
   return out;

@@ -1,31 +1,95 @@
 #include "trace/trace.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 #include "support/error.hpp"
 #include "support/table.hpp"
 
 namespace commroute::trace {
 
-const Assignment& Trace::at(std::size_t t) const {
-  CR_REQUIRE(t < states_.size(), "trace index out of range");
-  return states_[t];
+Trace::Trace(Assignment initial)
+    : initial_(std::move(initial)), last_(initial_), ends_{0} {}
+
+void Trace::record(const Assignment& a) {
+  if (empty()) {
+    *this = Trace(a);
+    return;
+  }
+  CR_REQUIRE(a.size() == last_.size(),
+             "trace entries must hold one path per node");
+  for (NodeId v = 0; v < a.size(); ++v) {
+    if (a[v] != last_[v]) {
+      changes_.push_back(Change{v, a[v]});
+      last_[v] = a[v];
+    }
+  }
+  ends_.push_back(changes_.size());
+}
+
+void Trace::record_changes(std::vector<Change> changes) {
+  CR_REQUIRE(!empty(), "record_changes on an empty trace");
+  std::sort(changes.begin(), changes.end(),
+            [](const Change& a, const Change& b) { return a.node < b.node; });
+  CR_REQUIRE(std::adjacent_find(changes.begin(), changes.end(),
+                                [](const Change& a, const Change& b) {
+                                  return a.node == b.node;
+                                }) == changes.end(),
+             "trace change: node changed twice in one step");
+  for (Change& change : changes) {
+    CR_REQUIRE(change.node < last_.size(), "trace change: node out of range");
+    if (change.path != last_[change.node]) {
+      last_[change.node] = change.path;
+      changes_.push_back(std::move(change));
+    }
+  }
+  ends_.push_back(changes_.size());
+}
+
+Assignment Trace::at(std::size_t t) const {
+  CR_REQUIRE(t < size(), "trace index out of range");
+  Assignment a = initial_;
+  for (std::size_t i = 0; i < ends_[t]; ++i) {
+    a[changes_[i].node] = changes_[i].path;
+  }
+  return a;
 }
 
 const Assignment& Trace::back() const {
-  CR_REQUIRE(!states_.empty(), "back() of empty trace");
-  return states_.back();
+  CR_REQUIRE(!empty(), "back() of empty trace");
+  return last_;
+}
+
+std::span<const Change> Trace::changes(std::size_t t) const {
+  CR_REQUIRE(t >= 1 && t < size(), "trace step out of range");
+  return std::span<const Change>(changes_).subspan(
+      ends_[t - 1], ends_[t] - ends_[t - 1]);
+}
+
+std::vector<Assignment> Trace::states() const {
+  std::vector<Assignment> out;
+  if (empty()) {
+    return out;
+  }
+  out.reserve(size());
+  out.push_back(initial_);
+  for (std::size_t t = 1; t < size(); ++t) {
+    out.push_back(out.back());
+    for (const Change& change : changes(t)) {
+      out.back()[change.node] = change.path;
+    }
+  }
+  return out;
 }
 
 bool Trace::settled(std::size_t stable_suffix) const {
   CR_REQUIRE(stable_suffix >= 1, "stable_suffix must be >= 1");
-  if (states_.size() < stable_suffix) {
+  if (size() < stable_suffix) {
     return false;
   }
-  const Assignment& last = states_.back();
-  for (std::size_t i = states_.size() - stable_suffix;
-       i < states_.size(); ++i) {
-    if (states_[i] != last) {
+  // The last `stable_suffix` entries are equal iff the steps between
+  // them changed nothing.
+  for (std::size_t t = size() - stable_suffix + 1; t < size(); ++t) {
+    if (ends_[t] != ends_[t - 1]) {
       return false;
     }
   }
@@ -34,8 +98,8 @@ bool Trace::settled(std::size_t stable_suffix) const {
 
 std::size_t Trace::change_count() const {
   std::size_t changes = 0;
-  for (std::size_t t = 1; t < states_.size(); ++t) {
-    if (states_[t] != states_[t - 1]) {
+  for (std::size_t t = 1; t < size(); ++t) {
+    if (ends_[t] != ends_[t - 1]) {
       ++changes;
     }
   }
@@ -44,9 +108,17 @@ std::size_t Trace::change_count() const {
 
 std::vector<Assignment> Trace::collapsed() const {
   std::vector<Assignment> out;
-  for (const Assignment& a : states_) {
-    if (out.empty() || out.back() != a) {
-      out.push_back(a);
+  if (empty()) {
+    return out;
+  }
+  out.push_back(initial_);
+  for (std::size_t t = 1; t < size(); ++t) {
+    if (ends_[t] == ends_[t - 1]) {
+      continue;
+    }
+    out.push_back(out.back());
+    for (const Change& change : changes(t)) {
+      out.back()[change.node] = change.path;
     }
   }
   return out;
@@ -73,10 +145,16 @@ std::string Trace::to_string(
     header.push_back("pi_" + g.name(v));
   }
   table.set_header(std::move(header));
-  for (std::size_t t = 0; t < states_.size(); ++t) {
+  Assignment pi = initial_;
+  for (std::size_t t = 0; t < size(); ++t) {
+    if (t > 0) {
+      for (const Change& change : changes(t)) {
+        pi[change.node] = change.path;
+      }
+    }
     std::vector<std::string> row{std::to_string(t)};
     for (const NodeId v : columns) {
-      row.push_back(instance.path_name(states_[t][v]));
+      row.push_back(instance.path_name(pi[v]));
     }
     table.add_row(std::move(row));
   }

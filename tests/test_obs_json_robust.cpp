@@ -95,6 +95,23 @@ TEST(JsonRobust, OverflowToInfinityIsRejected) {
   EXPECT_TRUE(obs::json_parse("1e308").has_value());
 }
 
+TEST(JsonRobust, AsU64AcceptsOnlyIntegersInUint64Range) {
+  const auto u64 = [](const char* text) {
+    return obs::json_parse(text)->as_u64();
+  };
+  EXPECT_EQ(u64("0"), 0u);
+  EXPECT_EQ(u64("42"), 42u);
+  EXPECT_EQ(u64("1e3"), 1000u);
+  // The largest double below 2^64 still converts; 2^64 itself does not.
+  EXPECT_EQ(u64("18446744073709549568"), 18446744073709549568ULL);
+  EXPECT_FALSE(u64("18446744073709551616").has_value());
+  EXPECT_FALSE(u64("-5").has_value());
+  EXPECT_FALSE(u64("2.5").has_value());
+  EXPECT_FALSE(u64("1e30").has_value());
+  EXPECT_FALSE(u64("\"5\"").has_value());
+  EXPECT_FALSE(u64("null").has_value());
+}
+
 TEST(JsonRobust, DeepNestingIsRejectedWithoutCrashing) {
   // Far beyond the depth limit: must return nullopt, not blow the stack.
   const std::string deep_open(10000, '[');

@@ -192,6 +192,30 @@ TEST(RecordingIo, LoadRejectsMalformedInput) {
   EXPECT_THROW(load(swapped), ParseError);
 }
 
+// Integer fields accept only 0 <= x < 2^64; anything else is a
+// ParseError naming the field, never a wrapped, truncated or
+// out-of-range cast.
+TEST(RecordingIo, LoadRejectsOutOfRangeIntegers) {
+  const spp::Instance bad = spp::bad_gadget();
+  const engine::RunResult run = recorded_bad_gadget_run(bad);
+  const std::string jsonl = trace::recording_to_jsonl(bad, *run.recording);
+  const std::string seed = "\"seed\":" + std::to_string(run.recording->meta.seed);
+  ASSERT_NE(jsonl.find(seed), std::string::npos);
+  for (const char* value : {"-5", "2.5", "1e30"}) {
+    std::string text = jsonl;
+    text.replace(text.find(seed), seed.size(),
+                 std::string("\"seed\":") + value);
+    std::istringstream in(text);
+    try {
+      trace::load_recording_jsonl(in);
+      ADD_FAILURE() << "seed " << value << " was accepted";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("seed"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 /// Erases `,"key":<value>` from every line of `jsonl` (value = a JSON
 /// array or a bare number) — crafting schema-v1-shaped inputs.
 std::string strip_field(const std::string& jsonl, const std::string& key,

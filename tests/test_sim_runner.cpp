@@ -169,6 +169,38 @@ TEST(SimRunner, JsonRoundTrips) {
                ParseError);
 }
 
+// Integer fields accept only 0 <= x < 2^64: a negative, a fraction or a
+// value past 2^64 is rejected with the field's name instead of being
+// wrapped, truncated or cast out of range.
+TEST(SimRunner, FromJsonRejectsOutOfRangeIntegers) {
+  const spp::Instance bad = spp::bad_gadget();
+  const std::string json =
+      sim::run(bad, lossy_options("UMS", 11)).to_json();
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      sim::SimResult::from_json(text);
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const auto with = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = json.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return std::string(json).replace(at, from.size(), to);
+  };
+  const std::string steps = "\"steps\":" + std::to_string(
+      sim::SimResult::from_json(json).run.steps);
+  EXPECT_NE(error_of(with(steps, "\"steps\":-5")).find("\"steps\""),
+            std::string::npos);
+  EXPECT_NE(error_of(with(steps, "\"steps\":2.5")).find("\"steps\""),
+            std::string::npos);
+  EXPECT_NE(error_of(with("\"last_flap_us\":[", "\"last_flap_us\":[1e30,"))
+                .find("\"last_flap_us\""),
+            std::string::npos);
+  EXPECT_EQ(error_of(json), "accepted");
+}
+
 TEST(SimRunner, FlightRecordedRunReplaysByteIdentically) {
   const spp::Instance bad = spp::bad_gadget();
   sim::SimOptions opts = lossy_options("U1O", 21);
