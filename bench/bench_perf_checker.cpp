@@ -111,6 +111,32 @@ void BM_SuccessorEnumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_SuccessorEnumeration)->DenseRange(0, 23, 6);
 
+// The same states streamed through one warmed-up StepEnumerator (what
+// an explorer worker keeps): no step vector, no per-step allocation.
+void BM_StepEnumerator(benchmark::State& state) {
+  const Model m = Model::from_index(static_cast<int>(state.range(0)));
+  const spp::Instance inst = spp::example_a2();
+  engine::NetworkState net(inst);
+  const NodeId d = inst.graph().node("d");
+  engine::execute_step(net, model::poll_one_step(inst, d, inst.graph().node("x")));
+  checker::StepEnumerator enumerator(m);
+  std::size_t reads = 0;
+  const auto visit = [&reads](const model::ActivationStep& step) {
+    reads += step.reads.size();
+  };
+  enumerator.for_each(net, visit);  // warm the buffers
+  std::size_t steps = 0;
+  for (auto _ : state) {
+    const std::size_t visited = enumerator.for_each(net, visit);
+    benchmark::DoNotOptimize(visited);
+    steps += visited;
+  }
+  benchmark::DoNotOptimize(reads);
+  state.SetItemsProcessed(static_cast<std::int64_t>(steps));  // steps/sec
+  state.SetLabel(m.name());
+}
+BENCHMARK(BM_StepEnumerator)->DenseRange(0, 23, 6);
+
 void BM_TargetedSearchA4(benchmark::State& state) {
   const spp::Instance inst = spp::example_a4();
   model::ActivationScript script;

@@ -1,7 +1,7 @@
 // Sketch microbenchmarks (google-benchmark): LogHistogram observe and
-// merge throughput, TopK add under eviction pressure, reservoir
-// sampling, and the end-to-end cost gap between ObsBudget::kFull and
-// kSketched engine runs. Run with --json to write
+// merge throughput, TopK add under eviction pressure, and the
+// end-to-end cost gap between ObsBudget::kFull and kSketched engine
+// runs. Run with --json to write
 // BENCH_perf_sketch.json instead of the console table.
 #include <benchmark/benchmark.h>
 
@@ -71,17 +71,6 @@ void BM_TopKAddUnderEviction(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TopKAddUnderEviction)->Arg(16)->Arg(64);
-
-void BM_ReservoirAdd(benchmark::State& state) {
-  obs::ReservoirSample sample(64, 42);
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    sample.add(id++, "x");
-  }
-  benchmark::DoNotOptimize(sample.seen());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ReservoirAdd);
 
 void BM_EngineRunByBudget(benchmark::State& state) {
   // The knob's end-to-end price: same 2000-node run, full vs sketched

@@ -71,7 +71,7 @@ struct ConfigGraph {
 struct ExpandResult {
   bool quiescent = false;
   trace::Assignment assignment;    ///< when quiescent
-  std::size_t raw_successors = 0;  ///< enumerate_steps count, pre-filter
+  std::size_t raw_successors = 0;  ///< steps enumerated, pre-filter
   std::size_t bound_skipped = 0;   ///< successors beyond the channel bound
   std::vector<EdgeLabel> successors;
   std::vector<model::ActivationStep> steps;
@@ -282,6 +282,24 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   };
   std::vector<Parent> parents(1);  // parents[initial] unused
 
+  // Per-worker expansion scratch, indexed by parallel_for_each's dense
+  // worker id (0 when serial): a step enumerator, the successor being
+  // built and its effect. Each successor is copy-assigned from its
+  // parent into `next` (reusing its capacity) and copied into the
+  // seen-set only when new, so an expansion allocates nothing per
+  // transition once the scratch is warm.
+  struct Scratch {
+    StepEnumerator steps;
+    engine::NetworkState next;
+    engine::StepEffect effect;
+  };
+  std::vector<Scratch> scratch;
+  scratch.reserve(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    scratch.push_back(Scratch{StepEnumerator(m, successor_options),
+                              engine::NetworkState(instance), {}});
+  }
+
   // Parallel machinery: a pool (threads > 1 only) and per-worker obs
   // shards — each worker owns a registry and span collector, merged
   // commutatively below, so the expansion hot path never contends on
@@ -327,7 +345,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   std::vector<std::pair<std::uint32_t, const engine::NetworkState*>> fresh;
 
   const auto expand_one = [&](const obs::Instrumentation& wobs,
-                              obs::Histogram* whist, std::size_t i) {
+                              obs::Histogram* whist, Scratch& work,
+                              std::size_t i) {
     ExpandResult& out = results[i];
     const engine::NetworkState& s = graph.state(batch[i]);
     obs::Span expand_span = wobs.span("checker.expand");
@@ -339,41 +358,48 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       return;
     }
 
-    const std::vector<model::ActivationStep> steps =
-        enumerate_steps(s, m, successor_options);
-    out.raw_successors = steps.size();
-    out.successors.reserve(steps.size());
-    for (const model::ActivationStep& step : steps) {
-      engine::NetworkState next = s;
-      const engine::StepEffect effect = engine::execute_step(next, step);
+    out.raw_successors = work.steps.for_each(
+        s, [&](const model::ActivationStep& step) {
+          engine::NetworkState& next = work.next;
+          engine::StepEffect& effect = work.effect;
+          next = s;
+          engine::execute_step(next, step, effect);
 
-      if (next.max_channel_length() > options.max_channel_length) {
-        ++out.bound_skipped;
-        continue;  // beyond the bound: do not expand
-      }
+          // Beyond the bound: do not expand. Only the channels this step
+          // sent on can be: `s` is within the bound (the initial state is
+          // empty and every interned successor passed this check), reads
+          // only shrink queues, and a step pushes at most once per
+          // channel, after its reads.
+          for (const engine::SentMessage& sent : effect.sent) {
+            if (next.channel(sent.channel).size() >
+                options.max_channel_length) {
+              ++out.bound_skipped;
+              return;
+            }
+          }
 
-      EdgeLabel label;
-      for (const engine::ReadEffect& read : effect.reads) {
-        label.attempts |= (1ULL << read.channel);
-        if (read.dropped > 0) {
-          label.drops |= (1ULL << read.channel);
-        }
-        if (read.delivered) {
-          label.deliveries |= (1ULL << read.channel);
-        }
-      }
-      for (const engine::NodeEffect& node : effect.nodes) {
-        label.pi_changed |= node.changed;
-      }
-      label.to = seen.intern(std::move(next)).id;  // provisional
-      out.successors.push_back(label);
-      if (options.extract_witness) {
-        out.steps.push_back(step);
-      }
-    }
+          EdgeLabel label;
+          for (const engine::ReadEffect& read : effect.reads) {
+            label.attempts |= (1ULL << read.channel);
+            if (read.dropped > 0) {
+              label.drops |= (1ULL << read.channel);
+            }
+            if (read.delivered) {
+              label.deliveries |= (1ULL << read.channel);
+            }
+          }
+          for (const engine::NodeEffect& node : effect.nodes) {
+            label.pi_changed |= node.changed;
+          }
+          label.to = seen.intern(next).id;  // provisional
+          out.successors.push_back(label);
+          if (options.extract_witness) {
+            out.steps.push_back(step);
+          }
+        });
     if (expand_span.enabled()) {
       expand_span.attr("successors",
-                       static_cast<std::uint64_t>(steps.size()));
+                       static_cast<std::uint64_t>(out.raw_successors));
       if (whist != nullptr) {
         whist->observe(expand_span.elapsed_us());
       }
@@ -410,14 +436,14 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
     if (threads == 1) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        expand_one(options.obs, serial_expand_hist, i);
+        expand_one(options.obs, serial_expand_hist, scratch[0], i);
       }
     } else {
       runtime::parallel_for_each(
           *pool, batch.size(),
           [&](std::size_t worker, std::size_t i) {
             expand_one(workers[worker].obs, workers[worker].expand_hist,
-                       i);
+                       scratch[worker], i);
           });
     }
 
@@ -499,6 +525,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         result.bound_skipped_expansions += out.bound_skipped;
       }
 
+      graph.edges[id].reserve(out.successors.size());
       for (std::size_t k = 0; k < out.successors.size(); ++k) {
         EdgeLabel& rec = out.successors[k];
         const std::uint32_t prov = rec.to;

@@ -1,5 +1,7 @@
 #include "checker/state_set.hpp"
 
+#include <utility>
+
 namespace commroute::checker {
 
 namespace {
@@ -54,8 +56,8 @@ void ShardedStateSet::grow(Shard& shard) {
   shard.slots = std::move(bigger);
 }
 
-ShardedStateSet::InternResult ShardedStateSet::intern(
-    engine::NetworkState&& state) {
+template <typename State>
+ShardedStateSet::InternResult ShardedStateSet::intern_impl(State&& state) {
   const std::size_t h = mix(state.hash());
   Shard& shard = shards_[(h >> 48) & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -72,7 +74,7 @@ ShardedStateSet::InternResult ShardedStateSet::intern(
 
   const std::uint32_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
-  shard.owned.push_back(std::move(state));
+  shard.owned.push_back(std::forward<State>(state));
   const engine::NetworkState* payload = &shard.owned.back();
   shard.slots[at] = Slot{h, payload, id};
   shard.fresh.emplace_back(id, payload);
@@ -81,6 +83,16 @@ ShardedStateSet::InternResult ShardedStateSet::intern(
     grow(shard);
   }
   return InternResult{id, payload, true};
+}
+
+ShardedStateSet::InternResult ShardedStateSet::intern(
+    const engine::NetworkState& state) {
+  return intern_impl(state);
+}
+
+ShardedStateSet::InternResult ShardedStateSet::intern(
+    engine::NetworkState&& state) {
+  return intern_impl(std::move(state));
 }
 
 void ShardedStateSet::drain_fresh(

@@ -11,7 +11,7 @@
 // scheduling-dependent — the explorer's merge phase re-numbers them into
 // final StateIds in deterministic enumeration order (see explorer.cpp),
 // which is why exploration results are byte-identical at any thread
-// width. Payloads are moved into per-shard deques and never relocate,
+// width. Payloads live in per-shard deques and never relocate,
 // so the `const NetworkState*` returned alongside an id stays valid for
 // the set's lifetime; the merged graph indexes those pointers instead
 // of copying states a second time.
@@ -39,8 +39,13 @@ class ShardedStateSet {
   /// `shard_count` is rounded up to a power of two (at least 1).
   explicit ShardedStateSet(std::size_t shard_count = 16);
 
-  /// Looks `state` up; absent, moves it into shard storage under a
-  /// fresh provisional id. Thread-safe; locks exactly one shard.
+  /// Looks `state` up; absent, copies it into shard storage under a
+  /// fresh provisional id, so a caller can reuse one scratch state for
+  /// every successor and pay for a copy only when the state is new.
+  /// Thread-safe; locks exactly one shard.
+  InternResult intern(const engine::NetworkState& state);
+
+  /// The same lookup; absent, moves `state` into shard storage.
   InternResult intern(engine::NetworkState&& state);
 
   /// Distinct states interned so far (monotone; safe from any thread).
@@ -76,6 +81,8 @@ class ShardedStateSet {
         fresh;
   };
 
+  template <typename State>
+  InternResult intern_impl(State&& state);
   static void insert_slot(std::vector<Slot>& slots, const Slot& slot);
   void grow(Shard& shard);
 

@@ -10,46 +10,40 @@ using model::ActivationStep;
 using model::MessageMode;
 using model::Model;
 using model::NeighborMode;
-using model::ReadSpec;
 using model::Reliability;
 
-namespace {
+StepEnumerator::StepEnumerator(const Model& m,
+                               const SuccessorOptions& options)
+    : model_(m), cap_(options.max_steps_per_state) {
+  step_.nodes.resize(1);
+}
 
-/// Canonical (f, g) options for one channel holding `m` messages.
-/// For each canonical processed count i, either one ReadSpec (reliable)
-/// or one per subset of {1..i} (unreliable).
-std::vector<ReadSpec> read_options(ChannelIdx c, std::size_t m,
-                                   const Model& model) {
-  std::vector<std::size_t> counts;  // canonical i values
-  switch (model.messages) {
+void StepEnumerator::add_options(std::size_t m) {
+  // Canonical processed counts i, ascending.
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  switch (model_.messages) {
     case MessageMode::kOne:
-      counts.push_back(std::min<std::size_t>(1, m));
+      lo = hi = std::min<std::size_t>(1, m);
       break;
     case MessageMode::kAll:
-      counts.push_back(m);
+      lo = hi = m;
       break;
     case MessageMode::kForced:
-      if (m == 0) {
-        counts.push_back(0);
-      } else {
-        for (std::size_t i = 1; i <= m; ++i) {
-          counts.push_back(i);
-        }
-      }
+      lo = m == 0 ? 0 : 1;
+      hi = m;
       break;
     case MessageMode::kSome:
-      for (std::size_t i = 0; i <= m; ++i) {
-        counts.push_back(i);
-      }
+      lo = 0;
+      hi = m;
       break;
   }
 
-  std::vector<ReadSpec> out;
-  for (const std::size_t i : counts) {
+  for (std::size_t i = lo; i <= hi; ++i) {
     // Encode the count. O requires f=1 even on an empty channel; F
     // requires f >= 1; A requires f = all. S can state i directly.
     std::optional<std::uint32_t> f;
-    switch (model.messages) {
+    switch (model_.messages) {
       case MessageMode::kOne:
         f = 1u;
         break;
@@ -64,69 +58,110 @@ std::vector<ReadSpec> read_options(ChannelIdx c, std::size_t m,
         break;
     }
 
-    if (model.reliability == Reliability::kReliable || i == 0) {
-      out.push_back(ReadSpec{c, f, {}});
+    if (model_.reliability == Reliability::kReliable || i == 0) {
+      options_.push_back(ReadOption{f, 0});
       continue;
     }
     // Unreliable: all subsets of {1..i} as drop sets.
     CR_REQUIRE(i <= 16, "too many messages for exhaustive drop subsets");
-    const std::size_t subsets = static_cast<std::size_t>(1) << i;
-    for (std::size_t mask = 0; mask < subsets; ++mask) {
-      ReadSpec spec{c, f, {}};
-      for (std::size_t bit = 0; bit < i; ++bit) {
-        if (mask & (static_cast<std::size_t>(1) << bit)) {
-          spec.drops.push_back(static_cast<std::uint32_t>(bit + 1));
-        }
-      }
-      out.push_back(std::move(spec));
+    const std::uint32_t subsets = 1u << i;
+    for (std::uint32_t mask = 0; mask < subsets; ++mask) {
+      options_.push_back(ReadOption{f, mask});
     }
   }
-  return out;
 }
 
-/// Cartesian product of per-channel read options.
-void product(const std::vector<std::vector<ReadSpec>>& options,
-             std::size_t at, std::vector<ReadSpec>& current,
-             NodeId node, std::vector<ActivationStep>& out,
-             std::size_t cap) {
-  if (at == options.size()) {
-    CR_REQUIRE(out.size() < cap,
+void StepEnumerator::write_read(std::size_t k, const ReadOption& option) {
+  model::ReadSpec& read = step_.reads[k];
+  read.channel = channels_[k];
+  read.count = option.count;
+  read.drops.clear();
+  std::uint32_t index = 1;
+  for (std::uint32_t mask = option.drop_mask; mask != 0; mask >>= 1) {
+    if (mask & 1u) {
+      read.drops.push_back(index);
+    }
+    ++index;
+  }
+}
+
+void StepEnumerator::resize_reads(std::size_t n) {
+  // Parks the drop buffers of removed reads instead of freeing them, so
+  // channel sets of varying size (M models) reuse their capacity.
+  std::vector<model::ReadSpec>& reads = step_.reads;
+  while (reads.size() > n) {
+    spare_drops_.push_back(std::move(reads.back().drops));
+    reads.pop_back();
+  }
+  while (reads.size() < n) {
+    reads.emplace_back();
+    if (!spare_drops_.empty()) {
+      reads.back().drops = std::move(spare_drops_.back());
+      spare_drops_.pop_back();
+    }
+  }
+}
+
+void StepEnumerator::product(const engine::NetworkState& state, NodeId v,
+                             Callback visit, void* fn) {
+  const std::size_t n = channels_.size();
+  // Every channel's options first (they can throw), then the product.
+  options_.clear();
+  first_.clear();
+  for (const ChannelIdx c : channels_) {
+    first_.push_back(options_.size());
+    add_options(state.channel(c).size());
+  }
+  first_.push_back(options_.size());
+
+  step_.nodes[0] = v;
+  resize_reads(n);
+  cursor_.assign(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    write_read(k, options_[first_[k]]);
+  }
+  for (;;) {
+    CR_REQUIRE(visited_ < cap_,
                "successor enumeration exceeded max_steps_per_state");
-    ActivationStep step;
-    step.nodes = {node};
-    step.reads = current;
-    out.push_back(std::move(step));
-    return;
-  }
-  for (const ReadSpec& spec : options[at]) {
-    current.push_back(spec);
-    product(options, at + 1, current, node, out, cap);
-    current.pop_back();
+    ++visited_;
+    visit(fn, step_);
+
+    // Advance the odometer, last channel fastest; rewrite only the reads
+    // whose option moved. Done once every channel has wrapped.
+    std::size_t k = n;
+    for (;;) {
+      if (k == 0) {
+        return;
+      }
+      --k;
+      if (first_[k] + ++cursor_[k] < first_[k + 1]) {
+        break;
+      }
+      cursor_[k] = 0;
+    }
+    for (std::size_t j = k; j < n; ++j) {
+      write_read(j, options_[first_[j] + cursor_[j]]);
+    }
   }
 }
 
-}  // namespace
-
-std::vector<ActivationStep> enumerate_steps(const engine::NetworkState& state,
-                                            const Model& m,
-                                            const SuccessorOptions& options) {
-  const spp::Instance& inst = state.instance();
-  const Graph& g = inst.graph();
-  std::vector<ActivationStep> out;
+std::size_t StepEnumerator::run(const engine::NetworkState& state,
+                                Callback visit, void* fn) {
+  const Graph& g = state.instance().graph();
+  visited_ = 0;
 
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const std::vector<ChannelIdx>& in = g.in_channels(v);
-
-    // Channel subsets per neighbor mode.
-    std::vector<std::vector<ChannelIdx>> channel_sets;
-    switch (m.neighbors) {
+    switch (model_.neighbors) {
       case NeighborMode::kOne:
         for (const ChannelIdx c : in) {
-          channel_sets.push_back({c});
+          channels_.assign(1, c);
+          product(state, v, visit, fn);
         }
         break;
       case NeighborMode::kEvery:
-        channel_sets.push_back(in);
+        channels_.assign(in.begin(), in.end());
+        product(state, v, visit, fn);
         break;
       case NeighborMode::kMultiple: {
         CR_REQUIRE(in.size() <= 8,
@@ -134,30 +169,27 @@ std::vector<ActivationStep> enumerate_steps(const engine::NetworkState& state,
         const std::size_t subsets = static_cast<std::size_t>(1)
                                     << in.size();
         for (std::size_t mask = 0; mask < subsets; ++mask) {
-          std::vector<ChannelIdx> set;
+          channels_.clear();
           for (std::size_t bit = 0; bit < in.size(); ++bit) {
             if (mask & (static_cast<std::size_t>(1) << bit)) {
-              set.push_back(in[bit]);
+              channels_.push_back(in[bit]);
             }
           }
-          channel_sets.push_back(std::move(set));
+          product(state, v, visit, fn);
         }
         break;
       }
     }
-
-    for (const std::vector<ChannelIdx>& channels : channel_sets) {
-      std::vector<std::vector<ReadSpec>> per_channel;
-      per_channel.reserve(channels.size());
-      for (const ChannelIdx c : channels) {
-        per_channel.push_back(
-            read_options(c, state.channel(c).size(), m));
-      }
-      std::vector<ReadSpec> current;
-      product(per_channel, 0, current, v, out,
-              options.max_steps_per_state);
-    }
   }
+  return visited_;
+}
+
+std::vector<ActivationStep> enumerate_steps(const engine::NetworkState& state,
+                                            const Model& m,
+                                            const SuccessorOptions& options) {
+  std::vector<ActivationStep> out;
+  StepEnumerator(m, options).for_each(
+      state, [&out](const ActivationStep& step) { out.push_back(step); });
   return out;
 }
 

@@ -115,12 +115,13 @@ spp::PathId pending_export(const NetworkState& state, ChannelIdx out,
   return value == previous ? spp::kNoPath : value;
 }
 
-StepEffect execute_step(NetworkState& state,
-                        const model::ActivationStep& step,
-                        obs::SpanCollector* spans) {
+void execute_step(NetworkState& state, const model::ActivationStep& step,
+                  StepEffect& effect, obs::SpanCollector* spans) {
   model::validate_step(state.instance(), step);
 
-  StepEffect effect;
+  effect.reads.clear();
+  effect.nodes.clear();
+  effect.sent.clear();
   effect.reads.reserve(step.reads.size());
   for (const model::ReadSpec& read : step.reads) {
     effect.reads.push_back(process_read(state, read));
@@ -137,6 +138,13 @@ StepEffect execute_step(NetworkState& state,
   for (const NodeEffect& node_effect : effect.nodes) {
     announce(state, node_effect, effect.sent);
   }
+}
+
+StepEffect execute_step(NetworkState& state,
+                        const model::ActivationStep& step,
+                        obs::SpanCollector* spans) {
+  StepEffect effect;
+  execute_step(state, step, effect, spans);
   return effect;
 }
 

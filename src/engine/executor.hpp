@@ -62,11 +62,17 @@ struct StepEffect {
   std::vector<SentMessage> sent;
 };
 
-/// Executes one step, mutating `state`. The step must satisfy
-/// model::validate_step for `state.instance()`; callers enforcing a model
-/// should check model::step_allowed first. With a span collector
-/// attached, each updating node's select+announce is traced as an
-/// "engine.activate" span (null = free, the usual guard idiom).
+/// Executes one step, mutating `state`, and writes what happened into
+/// `effect` (cleared first; its vectors keep their capacity, so a caller
+/// that reuses one effect across steps allocates nothing for it). The
+/// step must satisfy model::validate_step for `state.instance()`; callers
+/// enforcing a model should check model::step_allowed first. With a span
+/// collector attached, each updating node's select+announce is traced as
+/// an "engine.activate" span (null = free, the usual guard idiom).
+void execute_step(NetworkState& state, const model::ActivationStep& step,
+                  StepEffect& effect, obs::SpanCollector* spans = nullptr);
+
+/// The same, returning a fresh effect.
 StepEffect execute_step(NetworkState& state,
                         const model::ActivationStep& step,
                         obs::SpanCollector* spans = nullptr);

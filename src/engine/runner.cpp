@@ -297,6 +297,9 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     remember(state);
   }
 
+  // One effect for the whole run: execute_step refills it in place, and
+  // every consumer below (scheduler, recorders) copies what it keeps.
+  StepEffect effect;
   while (result.steps < options.max_steps) {
     // A quiescent network with faults still scheduled has not converged:
     // the next fault can wake it back up.
@@ -333,8 +336,7 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     }
 
     fairness.begin_step();
-    const StepEffect effect =
-        execute_step(state, step, options.obs.spans);
+    execute_step(state, step, effect, options.obs.spans);
     scheduler.on_step(effect);
     ++result.steps;
     if (step_span.enabled()) {

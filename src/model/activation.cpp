@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 #include "support/error.hpp"
 
@@ -54,10 +53,15 @@ void validate_step(const spp::Instance& instance,
     CR_REQUIRE(v < g.node_count(), "updating node out of range");
   }
 
-  std::unordered_set<ChannelIdx> seen;
-  for (const ReadSpec& r : step.reads) {
+  for (auto it = step.reads.begin(); it != step.reads.end(); ++it) {
+    const ReadSpec& r = *it;
     CR_REQUIRE(r.channel < g.channel_count(), "channel out of range");
-    CR_REQUIRE(seen.insert(r.channel).second,
+    // X is at most the updating nodes' in-channels: a scan of the earlier
+    // reads beats building a set.
+    CR_REQUIRE(std::none_of(step.reads.begin(), it,
+                            [&](const ReadSpec& earlier) {
+                              return earlier.channel == r.channel;
+                            }),
                "duplicate channel in X: " + g.channel_name(r.channel));
     const ChannelId id = g.channel_id(r.channel);
     CR_REQUIRE(std::binary_search(step.nodes.begin(), step.nodes.end(),

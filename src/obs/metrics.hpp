@@ -1,11 +1,10 @@
-// Metrics registry for the hot loops: monotonic counters, gauges,
-// fixed-bucket histograms, and RAII scoped timers. Everything is plain
-// uint64_t + steady_clock — no atomics, no strings on the update path,
-// and zero overhead when no registry is attached (instrumented code
-// holds a nullable pointer and publishes aggregates once per run).
+// Metrics registry for the hot loops: monotonic counters, gauges and
+// fixed-bucket histograms. Everything is plain uint64_t — no atomics,
+// no strings on the update path, and zero overhead when no registry is
+// attached (instrumented code holds a nullable pointer and publishes
+// aggregates once per run).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -137,38 +136,6 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
-};
-
-/// RAII timer: on destruction adds the elapsed microseconds to the target
-/// counter. A null target disables the timer entirely (the clock is
-/// never read), making the detached path free.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Counter* target)
-      : target_(target),
-        start_(target != nullptr ? std::chrono::steady_clock::now()
-                                 : std::chrono::steady_clock::time_point{}) {}
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  ~ScopedTimer() {
-    if (target_ != nullptr) {
-      target_->add(elapsed_us());
-    }
-  }
-
-  /// Microseconds since construction; 0 when disabled.
-  std::uint64_t elapsed_us() const {
-    if (target_ == nullptr) {
-      return 0;
-    }
-    const auto d = std::chrono::steady_clock::now() - start_;
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
-  }
-
- private:
-  Counter* target_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace commroute::obs

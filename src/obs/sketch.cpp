@@ -10,14 +10,6 @@ namespace commroute::obs {
 
 namespace {
 
-/// splitmix64 finalizer: the priority mixer behind ReservoirSample.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// floor(log2(v)) for v > 0.
 unsigned floor_log2(std::uint64_t v) {
   unsigned e = 0;
@@ -236,103 +228,6 @@ std::string TopK::to_json() const {
   w.field("capacity", static_cast<std::uint64_t>(capacity_))
       .field("total", total_);
   w.raw_field("entries", entries);
-  return w.str();
-}
-
-// ---- ReservoirSample -----------------------------------------------------
-
-namespace {
-
-/// Heap order for the bottom-k reservoir: the *largest* (priority, id,
-/// value) tuple sits at the front, ready for eviction.
-bool reservoir_less(const ReservoirSample::Item& a,
-                    const ReservoirSample::Item& b) {
-  if (a.priority != b.priority) {
-    return a.priority < b.priority;
-  }
-  if (a.id != b.id) {
-    return a.id < b.id;
-  }
-  return a.value < b.value;
-}
-
-}  // namespace
-
-ReservoirSample::ReservoirSample(std::size_t capacity, std::uint64_t seed)
-    : capacity_(capacity), seed_(seed) {
-  CR_REQUIRE(capacity > 0, "ReservoirSample capacity must be positive");
-}
-
-void ReservoirSample::insert(Item item) {
-  if (heap_.size() < capacity_) {
-    heap_.push_back(std::move(item));
-    std::push_heap(heap_.begin(), heap_.end(), reservoir_less);
-    return;
-  }
-  if (!reservoir_less(item, heap_.front())) {
-    return;  // higher priority than every kept item: not sampled
-  }
-  std::pop_heap(heap_.begin(), heap_.end(), reservoir_less);
-  heap_.back() = std::move(item);
-  std::push_heap(heap_.begin(), heap_.end(), reservoir_less);
-}
-
-void ReservoirSample::add(std::uint64_t id, std::string value) {
-  ++seen_;
-  Item item;
-  item.id = id;
-  item.value = std::move(value);
-  item.priority = mix64(seed_ ^ mix64(id));
-  insert(std::move(item));
-}
-
-void ReservoirSample::merge_from(const ReservoirSample& other) {
-  CR_REQUIRE(capacity_ == other.capacity_ && seed_ == other.seed_,
-             "ReservoirSample::merge_from requires identical capacity "
-             "and seed");
-  seen_ += other.seen_;
-  for (const Item& item : other.heap_) {
-    insert(item);
-  }
-}
-
-std::vector<ReservoirSample::Item> ReservoirSample::items() const {
-  std::vector<Item> out = heap_;
-  std::sort(out.begin(), out.end(), [](const Item& a, const Item& b) {
-    if (a.id != b.id) {
-      return a.id < b.id;
-    }
-    return a.value < b.value;
-  });
-  return out;
-}
-
-std::uint64_t ReservoirSample::estimated_bytes() const {
-  std::uint64_t bytes = sizeof(ReservoirSample);
-  for (const Item& item : heap_) {
-    bytes += sizeof(Item) + item.value.size();
-  }
-  return bytes;
-}
-
-std::string ReservoirSample::to_json() const {
-  std::string items_json = "[";
-  bool first = true;
-  for (const Item& item : items()) {
-    if (!first) {
-      items_json += ',';
-    }
-    first = false;
-    JsonWriter w;
-    w.field("id", item.id).field("value", item.value);
-    items_json += w.str();
-  }
-  items_json += ']';
-  JsonWriter w;
-  w.field("capacity", static_cast<std::uint64_t>(capacity_))
-      .field("seed", seed_)
-      .field("seen", seen_);
-  w.raw_field("items", items_json);
   return w.str();
 }
 

@@ -1,6 +1,6 @@
 // Streaming sketches: bounded-memory, mergeable summaries for
-// internet-scale observability. Three structures, all deterministic and
-// all with *commutative, associative* merge_from, so per-worker shards
+// internet-scale observability. Two structures, both deterministic and
+// both with *commutative, associative* merge_from, so per-worker shards
 // combine into byte-identical JSON at any thread width (the same
 // shard-and-merge contract Registry::merge_from established):
 //
@@ -14,10 +14,6 @@
 //     upper bounds with a per-entry overestimation `error`; merges are
 //     exact (and order-invariant) whenever capacity covers the distinct
 //     keys, approximate with documented eviction ties otherwise.
-//   * ReservoirSample — a seeded bottom-k sample by hashed priority.
-//     Whether an item is kept depends only on (seed, id), never on
-//     arrival order or shard assignment, so the union-merge of any
-//     partition of a stream equals the sample of the whole stream.
 //
 // The ObsBudget knob selects between the exact per-node / per-step
 // observability structures (kFull) and these sketches (kSketched) in
@@ -145,54 +141,6 @@ class TopK {
   std::size_t capacity_;
   std::uint64_t total_ = 0;
   std::map<std::uint64_t, Cell> entries_;
-};
-
-/// Seeded deterministic reservoir sample of an event stream: keeps the
-/// `capacity` items with the smallest hashed priority mix(seed, id).
-/// Because the keep/evict decision is a pure function of (seed, id),
-/// the sample is invariant under arrival order and stream partitioning:
-/// merging per-shard samples equals sampling the concatenated stream.
-/// `id` must identify the stream position (step number, row index);
-/// duplicate ids are kept as distinct items.
-class ReservoirSample {
- public:
-  struct Item {
-    std::uint64_t id = 0;
-    std::string value;         ///< caller payload (label, JSON, ...)
-    std::uint64_t priority = 0;
-  };
-
-  ReservoirSample(std::size_t capacity, std::uint64_t seed);
-
-  void add(std::uint64_t id, std::string value);
-
-  /// Union-merge keeping the bottom `capacity` priorities. Requires
-  /// identical capacity and seed.
-  void merge_from(const ReservoirSample& other);
-
-  /// Sampled items sorted by id ascending.
-  std::vector<Item> items() const;
-
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t seed() const { return seed_; }
-  std::uint64_t seen() const { return seen_; }
-
-  /// Deterministic byte estimate (item count x entry size + payload
-  /// lengths).
-  std::uint64_t estimated_bytes() const;
-
-  /// {"capacity":..,"seed":..,"seen":..,"items":[{"id":..,
-  ///  "value":".."},...]} sorted by id.
-  std::string to_json() const;
-
- private:
-  void insert(Item item);
-
-  std::size_t capacity_;
-  std::uint64_t seed_;
-  std::uint64_t seen_ = 0;
-  /// Max-heap on (priority, id, value) — the front is the first evicted.
-  std::vector<Item> heap_;
 };
 
 }  // namespace commroute::obs

@@ -41,6 +41,19 @@ TEST_F(ActivationTest, ValidateRejectsDuplicateChannel) {
   ActivationStep step = make_step(x, {ReadSpec{c, 1u, {}},
                                       ReadSpec{c, 1u, {}}});
   EXPECT_THROW(validate_step(inst, step), PreconditionError);
+  // Not adjacent in X, and named in the diagnostic.
+  step = make_step(x, {ReadSpec{c, 1u, {}},
+                       ReadSpec{inst.graph().channel(d, x), 1u, {}},
+                       ReadSpec{c, 1u, {}}});
+  try {
+    validate_step(inst, step);
+    FAIL() << "duplicate channel accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate channel in X: " +
+                                         inst.graph().channel_name(c)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(ActivationTest, ValidateRejectsBadDropSets) {

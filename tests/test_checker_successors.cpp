@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "support/error.hpp"
 #include "checker/successors.hpp"
 #include "engine/executor.hpp"
+#include "engine/scheduler.hpp"
 #include "spp/gadgets.hpp"
 
 namespace commroute::checker {
@@ -14,6 +19,33 @@ class SuccessorsTest : public ::testing::Test {
  protected:
   spp::Instance inst = spp::disagree();
   engine::NetworkState init{inst};
+
+  /// Two messages queued on y->x: yd, then a withdrawal.
+  engine::NetworkState two_messages() const {
+    engine::NetworkState st(inst);
+    const ChannelIdx c = inst.graph().channel(inst.graph().node("y"),
+                                              inst.graph().node("x"));
+    st.mutable_channel(c).push({inst.parse_path("yd"), 0});
+    st.mutable_channel(c).push({Path::epsilon(), 0});
+    return st;
+  }
+
+  /// One message on every channel: five R1O round-robin steps load the
+  /// four channels between x, y and d, and d's two out-channels (drained
+  /// by the first reads and never refilled, since d's export never
+  /// changes) get a (d) each.
+  engine::NetworkState loaded() const {
+    engine::NetworkState st(inst);
+    engine::RoundRobinScheduler rr(Model::parse("R1O"), inst);
+    for (int k = 0; k < 5; ++k) {
+      engine::execute_step(st, rr.next(st));
+    }
+    const NodeId d = inst.destination();
+    for (const ChannelIdx c : inst.graph().out_channels(d)) {
+      st.mutable_channel(c).push({Path{d}, 0});
+    }
+    return st;
+  }
 };
 
 TEST_F(SuccessorsTest, CountsOnInitialState) {
@@ -28,11 +60,7 @@ TEST_F(SuccessorsTest, CountsOnInitialState) {
 }
 
 TEST_F(SuccessorsTest, UnreliableAddsDropSubsets) {
-  engine::NetworkState st(inst);
-  const ChannelIdx c = inst.graph().channel(inst.graph().node("y"),
-                                            inst.graph().node("x"));
-  st.mutable_channel(c).push({inst.parse_path("yd"), 0});
-  st.mutable_channel(c).push({Path::epsilon(), 0});
+  const engine::NetworkState st = two_messages();
   // U1O: the 2-message channel read gains a drop variant: 6 + 1 = 7.
   EXPECT_EQ(enumerate_steps(st, Model::parse("U1O")).size(), 7u);
   // R1S: f in {0, 1, 2} for that channel: 6 + 2 = 8.
@@ -91,6 +119,72 @@ TEST_F(SuccessorsTest, ForcedOnEmptyChannelStillAttempts) {
     ASSERT_TRUE(step.reads[0].count.has_value());
     EXPECT_GE(*step.reads[0].count, 1u);
   }
+}
+
+TEST_F(SuccessorsTest, StepOrderIsPinned) {
+  // State numbering, frontier_peak, witnesses and tracked_peak_bytes all
+  // follow the enumeration order, so it is pinned: FNV-1a over every
+  // step's to_string under all 24 models, on states that exercise
+  // counts, drop masks and M-subsets over loaded channels. The digest
+  // was computed with the materializing enumerator that StepEnumerator
+  // replaced.
+  const engine::NetworkState loaded_state = loaded();
+  for (ChannelIdx c = 0; c < inst.graph().channel_count(); ++c) {
+    ASSERT_FALSE(loaded_state.channel(c).empty())
+        << inst.graph().channel_name(c);
+  }
+  // One enumerator per model, reused across the states as an explorer
+  // worker reuses its own.
+  std::vector<StepEnumerator> enumerators;
+  for (const Model& m : Model::all()) {
+    enumerators.emplace_back(m);
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t total = 0;
+  for (const engine::NetworkState& st :
+       {init, two_messages(), loaded_state}) {
+    for (std::size_t k = 0; k < Model::all().size(); ++k) {
+      const Model& m = Model::all()[k];
+      const auto steps = enumerate_steps(st, m);
+      for (const model::ActivationStep& step : steps) {
+        for (const char ch : step.to_string(inst) + "\n") {
+          digest = (digest ^ static_cast<unsigned char>(ch)) *
+                   0x100000001b3ULL;
+        }
+      }
+      total += steps.size();
+
+      // The streaming form visits exactly those steps, in that order.
+      std::size_t at = 0;
+      const std::size_t visited = enumerators[k].for_each(
+          st, [&](const model::ActivationStep& step) {
+            ASSERT_LT(at, steps.size());
+            EXPECT_EQ(step.to_string(inst), steps[at].to_string(inst))
+                << m.name() << " step " << at;
+            ++at;
+          });
+      EXPECT_EQ(visited, steps.size()) << m.name();
+    }
+  }
+  EXPECT_EQ(total, 768u);
+  EXPECT_EQ(digest, 10401395587186229419ULL);
+}
+
+TEST_F(SuccessorsTest, EnumeratorCapMatchesEnumerateSteps) {
+  SuccessorOptions options;
+  options.max_steps_per_state = 3;
+  StepEnumerator enumerator(Model::parse("RMS"), options);
+  std::size_t visited = 0;
+  try {
+    enumerator.for_each(init,
+                        [&](const model::ActivationStep&) { ++visited; });
+    FAIL() << "cap not enforced";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("max_steps_per_state"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(visited, 3u);  // the cap admits exactly max_steps_per_state
 }
 
 }  // namespace

@@ -197,6 +197,39 @@ TEST_F(ExecutorTest, EffectReportsOldAndNewAssignments) {
   EXPECT_EQ(inst.path(effect.nodes[0].new_assignment), inst.parse_path("xd"));
 }
 
+TEST_F(ExecutorTest, ReusedEffectMatchesFreshEffect) {
+  // The in-place form clears the caller's effect before filling it, so
+  // one effect reused across a run reports each step alone.
+  const model::ActivationScript script = {
+      read_one_step(inst, d, x), read_one_step(inst, y, d),
+      read_one_step(inst, x, y), poll_all_step(inst, y),
+      read_one_step(inst, x, d), poll_all_step(inst, d)};
+  NetworkState fresh_state(inst);
+  StepEffect reused;
+  for (const model::ActivationStep& step : script) {
+    const StepEffect fresh = execute_step(fresh_state, step);
+    execute_step(state, step, reused);
+    EXPECT_EQ(state, fresh_state);
+    ASSERT_EQ(reused.reads.size(), fresh.reads.size());
+    for (std::size_t i = 0; i < fresh.reads.size(); ++i) {
+      EXPECT_EQ(reused.reads[i].channel, fresh.reads[i].channel);
+      EXPECT_EQ(reused.reads[i].processed, fresh.reads[i].processed);
+      EXPECT_EQ(reused.reads[i].delivered, fresh.reads[i].delivered);
+    }
+    ASSERT_EQ(reused.nodes.size(), fresh.nodes.size());
+    for (std::size_t i = 0; i < fresh.nodes.size(); ++i) {
+      EXPECT_EQ(reused.nodes[i].new_assignment,
+                fresh.nodes[i].new_assignment);
+      EXPECT_EQ(reused.nodes[i].changed, fresh.nodes[i].changed);
+    }
+    ASSERT_EQ(reused.sent.size(), fresh.sent.size());
+    for (std::size_t i = 0; i < fresh.sent.size(); ++i) {
+      EXPECT_EQ(reused.sent[i].channel, fresh.sent[i].channel);
+      EXPECT_EQ(reused.sent[i].path, fresh.sent[i].path);
+    }
+  }
+}
+
 TEST_F(ExecutorTest, EpsilonSelectionReportsNoChannel) {
   const StepEffect effect =
       execute_step(state, read_one_step(inst, x, d));

@@ -118,33 +118,6 @@ TEST(Registry, ToJsonRoundTripsThroughTheParser) {
   EXPECT_EQ(buckets->as_array().size(), 3u);  // two bounds + overflow
 }
 
-TEST(ScopedTimer, RecordsElapsedIntoCounterOnDestruction) {
-  Counter c;
-  {
-    ScopedTimer t(&c);
-    while (t.elapsed_us() < 1) {
-      // spin until at least one microsecond elapsed
-    }
-  }
-  EXPECT_GE(c.value(), 1u);
-}
-
-TEST(ScopedTimer, ElapsedIsMonotonic) {
-  Counter c;
-  ScopedTimer t(&c);
-  std::uint64_t last = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint64_t now = t.elapsed_us();
-    EXPECT_GE(now, last);
-    last = now;
-  }
-}
-
-TEST(ScopedTimer, NullTargetIsDisabled) {
-  ScopedTimer t(nullptr);
-  EXPECT_EQ(t.elapsed_us(), 0u);
-}
-
 TEST(RegistryMerge, CountersAddGaugesMaxHistogramsAddBucketwise) {
   Registry target;
   target.counter("c").add(10);

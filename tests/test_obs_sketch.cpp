@@ -181,27 +181,6 @@ TEST(TopK, HeavyHittersSurviveEvictionWithBoundedError) {
   EXPECT_LE(entries[1].count - entries[1].error, 200u);
 }
 
-TEST(ReservoirSample, PartitionAndOrderInvariant) {
-  std::vector<std::pair<std::uint64_t, std::string>> items;
-  for (std::uint64_t id = 0; id < 500; ++id) {
-    items.emplace_back(id, "item-" + std::to_string(id));
-  }
-  ReservoirSample reference(32, 1234);
-  for (const auto& [id, value] : items) {
-    reference.add(id, value);
-  }
-  // Reverse arrival order, two shards.
-  ReservoirSample a(32, 1234);
-  ReservoirSample b(32, 1234);
-  for (auto it = items.rbegin(); it != items.rend(); ++it) {
-    ((it->first % 2 == 0) ? a : b).add(it->first, it->second);
-  }
-  a.merge_from(b);
-  EXPECT_EQ(a.to_json(), reference.to_json());
-  EXPECT_EQ(a.seen(), 500u);
-  EXPECT_EQ(a.items().size(), 32u);
-}
-
 TEST(Sketch, EstimatedBytesAreElementDerived) {
   LogHistogram hist(5);
   TopK top(8);
