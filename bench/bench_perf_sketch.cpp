@@ -1,23 +1,17 @@
 // Sketch microbenchmarks (google-benchmark): LogHistogram observe and
-// merge throughput, TopK add under eviction pressure, and the
-// end-to-end cost gap between ObsBudget::kFull and kSketched engine
-// runs. Run with --json to write
-// BENCH_perf_sketch.json instead of the console table.
+// merge throughput, and TopK add under eviction pressure. Run with
+// --json to write BENCH_perf_sketch.json instead of the console table.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "bench_gbench.hpp"
-#include "engine/runner.hpp"
-#include "engine/scheduler.hpp"
 #include "obs/sketch.hpp"
-#include "spp/random_gen.hpp"
 
 namespace {
 
 using namespace commroute;
-using model::Model;
 
 std::vector<std::uint64_t> value_stream(std::size_t n) {
   std::vector<std::uint64_t> out;
@@ -71,30 +65,6 @@ void BM_TopKAddUnderEviction(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TopKAddUnderEviction)->Arg(16)->Arg(64);
-
-void BM_EngineRunByBudget(benchmark::State& state) {
-  // The knob's end-to-end price: same 2000-node run, full vs sketched
-  // observability (per-node vectors + trace vs bounded sketches).
-  static const spp::Instance inst = [] {
-    Rng rng(11);
-    return spp::random_tree(rng, 2000);
-  }();
-  const auto budget = state.range(0) == 0 ? obs::ObsBudget::kFull
-                                          : obs::ObsBudget::kSketched;
-  for (auto _ : state) {
-    engine::RoundRobinScheduler sched(Model::parse("UMS"), inst);
-    engine::RunOptions options;
-    options.max_steps = 20000;
-    // Trace and cycle table off in both arms: they are O(nodes) per
-    // step and would drown the per-node-structure delta being measured.
-    options.record_trace = false;
-    options.detect_cycles = false;
-    options.budget = budget;
-    benchmark::DoNotOptimize(engine::run(inst, sched, options));
-  }
-  state.SetLabel(obs::to_string(budget));
-}
-BENCHMARK(BM_EngineRunByBudget)->Arg(0)->Arg(1);
 
 }  // namespace
 

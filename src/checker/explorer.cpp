@@ -205,7 +205,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   ShardedStateSet seen(threads == 1
                            ? 1
                            : std::min<std::size_t>(64, threads * 8));
-  const bool sketched = options.budget == obs::ObsBudget::kSketched;
 
   // Tracked-bytes accounting over the explorer's own structures (interned
   // states, edges, frontier, hash index, witness store). Always on — it
@@ -242,8 +241,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   successor_options.max_steps_per_state = options.max_steps_per_state;
   std::uint64_t expanded = 0;
   std::uint64_t discovery_seq = 0;
-  HeartbeatCadence cadence(options.heartbeat_every,
-                           options.heartbeat_interval_ms);
   /// Expansions grouped under one checker.frontier_batch span, so a
   /// Perfetto view shows exploration progress at a glance without
   /// per-state slices drowning the track.
@@ -481,31 +478,21 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         options.progress->update(expanded, expanded + pending());
         options.progress->set_detail(pending());
       }
-      if (options.obs.sink != nullptr && cadence.active()) {
-        const bool count_due = cadence.count_due(expanded);
-        auto now = std::chrono::steady_clock::time_point{};
-        std::uint64_t now_ms = 0;
-        if (count_due || cadence.time_active()) {
-          now = std::chrono::steady_clock::now();
-          now_ms = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  now - explore_start)
-                  .count());
-        }
-        const bool time_fired = cadence.time_due(now_ms);
-        if (count_due || time_fired) {
-          obs::Event ev("checker_heartbeat");
-          ev.field("expanded", expanded)
-              .field("states",
-                     static_cast<std::uint64_t>(graph.states.size()))
-              .field("frontier", static_cast<std::uint64_t>(pending()))
-              .field("transitions",
-                     static_cast<std::uint64_t>(result.transitions))
-              .field("dedup_hits",
-                     static_cast<std::uint64_t>(result.dedup_hits))
-              .field("elapsed_ms", now_ms);
-          options.obs.sink->emit(ev);
-        }
+      if (options.obs.sink != nullptr && options.heartbeat_every > 0 &&
+          expanded % options.heartbeat_every == 0) {
+        const auto elapsed_ms =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - explore_start);
+        obs::Event ev("checker_heartbeat");
+        ev.field("expanded", expanded)
+            .field("states", static_cast<std::uint64_t>(graph.states.size()))
+            .field("frontier", static_cast<std::uint64_t>(pending()))
+            .field("transitions",
+                   static_cast<std::uint64_t>(result.transitions))
+            .field("dedup_hits", static_cast<std::uint64_t>(result.dedup_hits))
+            .field("elapsed_ms",
+                   static_cast<std::uint64_t>(elapsed_ms.count()));
+        options.obs.sink->emit(ev);
       }
 
       ExpandResult& out = results[i];
@@ -515,9 +502,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           quiescent.push_back(std::move(out.assignment));
         }
         continue;
-      }
-      if (sketched) {
-        result.successor_hist.observe(out.raw_successors);
       }
       if (out.bound_skipped > 0) {
         result.channel_bound_hit = true;
@@ -839,12 +823,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                  static_cast<std::uint64_t>(
                      result.quiescent_assignments.size()))
           .field("wall_us", wall_us);
-      if (sketched) {
-        // Gated so full-mode checker_summary lines keep their exact
-        // pre-budget bytes.
-        ev.field("obs_budget", obs::to_string(options.budget))
-            .raw_field("successor_hist", result.successor_hist.to_json());
-      }
       options.obs.sink->emit(ev);
     }
   }

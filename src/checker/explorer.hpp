@@ -33,7 +33,6 @@
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "obs/resource.hpp"
-#include "obs/sketch.hpp"
 #include "trace/trace.hpp"
 
 namespace commroute::checker {
@@ -68,19 +67,9 @@ struct ExploreOptions {
   /// checker.expand plus per-pass checker.scc_prune_pass spans.
   obs::Instrumentation obs;
   /// With a sink attached, emit a heartbeat every this many expanded
-  /// states (0 disables count-based heartbeats).
+  /// states (0 disables heartbeats). Every heartbeat carries
+  /// `elapsed_ms`.
   std::size_t heartbeat_every = 10000;
-  /// Also emit a heartbeat whenever this many milliseconds pass without
-  /// one (checked per expansion; 0 disables). Count-based heartbeats go
-  /// quiet exactly when expansions get slow — the time-based interval
-  /// keeps long stalls visible. Every heartbeat carries `elapsed_ms`.
-  std::uint64_t heartbeat_interval_ms = 0;
-  /// ObsBudget::kSketched additionally fills
-  /// ExploreResult::successor_hist (bounded log-histogram of
-  /// per-expansion successor counts). The explorer's core structures are
-  /// already bounded by max_states / memory_limit_bytes, so unlike the
-  /// engine the budget adds summaries rather than suppressing anything.
-  obs::ObsBudget budget = obs::ObsBudget::kFull;
   /// Online progress: when attached, explore() reports done=expanded /
   /// total=expanded+frontier (the coverage lower bound; total grows as
   /// states are discovered) plus the live frontier size as detail,
@@ -106,43 +95,6 @@ struct ExploreOptions {
   SearcherKind searcher = SearcherKind::kBFS;
   /// Seed for SearcherKind::kRandomPath.
   std::uint64_t searcher_seed = 0;
-};
-
-/// Independent count- and time-based heartbeat cadences. The two
-/// triggers deliberately share no state: a count-based beat never
-/// resets the time interval (the historical bug — with both cadences
-/// enabled, steady expansion re-armed the time clock on every
-/// count-based beat and starved time-based heartbeats forever).
-class HeartbeatCadence {
- public:
-  /// `start_ms` anchors the time cadence (first time-based beat is due
-  /// at start_ms + interval_ms).
-  HeartbeatCadence(std::size_t every, std::uint64_t interval_ms,
-                   std::uint64_t start_ms = 0)
-      : every_(every), interval_ms_(interval_ms), last_beat_ms_(start_ms) {}
-
-  bool active() const { return every_ > 0 || interval_ms_ > 0; }
-  bool time_active() const { return interval_ms_ > 0; }
-
-  /// Count cadence: due every `every` expansions (stateless).
-  bool count_due(std::uint64_t expanded) const {
-    return every_ > 0 && expanded % every_ == 0;
-  }
-
-  /// Time cadence: due when `interval_ms` elapsed since the last
-  /// *time-based* beat; advances its own clock when it fires.
-  bool time_due(std::uint64_t now_ms) {
-    if (interval_ms_ == 0 || now_ms - last_beat_ms_ < interval_ms_) {
-      return false;
-    }
-    last_beat_ms_ = now_ms;
-    return true;
-  }
-
- private:
-  std::size_t every_;
-  std::uint64_t interval_ms_;
-  std::uint64_t last_beat_ms_;
 };
 
 struct ExploreResult {
@@ -179,11 +131,6 @@ struct ExploreResult {
   /// store). Always populated — the accounting is a handful of integer
   /// adds per expansion, cheap enough to keep on unconditionally.
   std::uint64_t tracked_peak_bytes = 0;
-
-  /// Populated under ObsBudget::kSketched: log-bucketed distribution of
-  /// per-expansion successor counts (the branching factor — the number
-  /// that predicts how exploration cost scales with the channel bound).
-  obs::LogHistogram successor_hist;
 
   /// Peak tracked bytes per explored state — the scaling number the
   /// bench_perf_scale roadmap item wants (0 when nothing was explored).

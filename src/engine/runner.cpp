@@ -158,28 +158,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   NetworkState state(instance);
   model::FairnessMonitor fairness(instance.graph().channel_count());
 
-  // Budget plumbing: kSketched suppresses the structures whose memory
-  // grows with nodes x steps (trace, node_activations) and fills the
-  // bounded RunResult sketches instead. Byte accounting is deterministic
-  // (element counts only) and monotone, so obs_bytes doubles as a peak.
-  const bool sketched = options.budget == obs::ObsBudget::kSketched;
-  const bool record_trace = options.record_trace && !sketched;
-  const bool account_obs = options.obs_memory != nullptr;
-  // Trace growth is charged as one full assignment per entry: a Path per
-  // node plus the nodes of every assigned path, whose running total
-  // follows the steps' changes.
-  std::uint64_t assigned_nodes = 0;
-  auto count_assigned_nodes = [&]() {
-    assigned_nodes = 0;
-    for (NodeId v = 0; v < instance.node_count(); ++v) {
-      assigned_nodes += instance.path(state.assignment_id(v)).size();
-    }
-  };
-  auto assignment_bytes = [&]() {
-    return instance.node_count() * sizeof(Path) +
-           assigned_nodes * sizeof(NodeId);
-  };
-
   const bool recording =
       options.flight.mode != FlightRecorderOptions::Mode::kOff;
   std::optional<FlightRecorder> recorder;
@@ -199,35 +177,9 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   }
 
   RunResult result;
-  auto account = [&](std::uint64_t bytes) {
-    result.obs_bytes += bytes;
-    if (options.obs_memory != nullptr) {
-      options.obs_memory->add(bytes);
-    }
-  };
-  // Sketch growth is accounted by delta so the TrackedBytes gauge stays
-  // live for a sampler without rescanning the sketches every step.
-  std::uint64_t sketch_bytes_seen = 0;
-  auto refresh_sketch_bytes = [&]() {
-    const std::uint64_t now = result.flap_topk.estimated_bytes() +
-                              result.activation_topk.estimated_bytes();
-    if (now > sketch_bytes_seen) {
-      account(now - sketch_bytes_seen);
-      sketch_bytes_seen = now;
-    }
-  };
-  if (!sketched) {
-    result.node_activations.assign(instance.node_count(), 0);
-    if (account_obs) {
-      account(instance.node_count() * sizeof(std::uint64_t));
-    }
-  }
-  if (record_trace) {
+  result.node_activations.assign(instance.node_count(), 0);
+  if (options.record_trace) {
     result.trace = trace::Trace(state.assignments());
-    count_assigned_nodes();
-    if (account_obs) {
-      account(assignment_bytes());
-    }
   }
 
   // For sound cycle detection: configuration = (state, signature).
@@ -239,7 +191,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   };
   std::unordered_map<std::size_t, std::vector<Seen>> seen;
   std::size_t total_changes = 0;
-  std::uint64_t last_change_step = 0;
 
   const bool can_detect_cycles =
       options.detect_cycles && scheduler.signature().has_value();
@@ -354,23 +305,11 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
       result.messages_dropped += read.dropped;
     }
     result.messages_sent += effect.sent.size();
-    bool any_changed = false;
     for (const NodeEffect& node : effect.nodes) {
-      if (sketched) {
-        result.activation_topk.add(node.node);
-      } else {
-        ++result.node_activations[node.node];
-      }
+      ++result.node_activations[node.node];
       if (node.changed) {
         ++total_changes;
-        any_changed = true;
-        if (sketched) {
-          result.flap_topk.add(node.node);
-        }
       }
-    }
-    if (any_changed) {
-      last_change_step = result.steps;
     }
     // Exact high-water marks from what the step touched: reads and faults
     // only remove messages, and a channel gets at most one push per step,
@@ -382,43 +321,18 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     result.peak_channel_bytes =
         std::max(result.peak_channel_bytes, state.in_flight_bytes());
 
-    if (options.obs.sink != nullptr && options.emit_step_events) {
-      obs::Event ev("engine_step");
-      ev.field("step", result.steps)
-          .field("nodes", static_cast<std::uint64_t>(effect.nodes.size()))
-          .field("sent", static_cast<std::uint64_t>(effect.sent.size()))
-          .field("reads", static_cast<std::uint64_t>(effect.reads.size()))
-          .field("changed", any_changed);
-      options.obs.sink->emit(ev);
-    }
-
-    if (record_trace) {
+    if (options.record_trace) {
       if (faulted) {
         result.trace.record(state.assignments());
-        count_assigned_nodes();
       } else {
         std::vector<trace::Change> changes;
         for (const NodeEffect& node : effect.nodes) {
           if (node.changed) {
             const Path& path = instance.path(node.new_assignment);
             changes.push_back(trace::Change{node.node, path});
-            assigned_nodes = assigned_nodes + path.size() -
-                             instance.path(node.old_assignment).size();
           }
         }
         result.trace.record_changes(std::move(changes));
-      }
-      if (account_obs) {
-        account(assignment_bytes());
-      }
-    }
-    if ((result.steps & 63u) == 0) {
-      if (options.progress != nullptr) {
-        options.progress->update(result.steps, options.max_steps);
-        options.progress->set_detail(result.steps - last_change_step);
-      }
-      if (sketched) {
-        refresh_sketch_bytes();
       }
     }
     if (recording || causal.has_value()) {
@@ -447,14 +361,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   result.final_assignment = state.assignments();
   result.max_attempt_gap = fairness.max_attempt_gap();
   result.outstanding_drops = fairness.outstanding_drops();
-
-  if (sketched) {
-    refresh_sketch_bytes();
-  }
-  if (options.progress != nullptr) {
-    options.progress->update(result.steps, options.max_steps);
-    options.progress->set_detail(result.steps - last_change_step);
-  }
 
   if (causal.has_value()) {
     result.causality = std::move(*causal).finish();
@@ -518,9 +424,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
         m.gauge("engine.critical_path_len")
             .record_max(result.critical_path_len);
       }
-      if (account_obs || sketched) {
-        m.gauge("engine.obs_bytes").record_max(result.obs_bytes);
-      }
     }
     if (options.obs.sink != nullptr) {
       obs::Event ev("engine_run");
@@ -540,15 +443,6 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
         // Only when armed: existing consumers' engine_run bytes are
         // unchanged and the field never reads as "0 = no chain".
         ev.field("critical_path_len", result.critical_path_len);
-      }
-      if (sketched) {
-        // Same gating rule: only sketched runs carry the sketch fields,
-        // so full-mode engine_run lines are byte-for-byte what they
-        // were before the budget knob existed.
-        ev.field("obs_budget", obs::to_string(options.budget))
-            .field("obs_bytes", result.obs_bytes)
-            .raw_field("flap_topk", result.flap_topk.to_json())
-            .raw_field("activation_topk", result.activation_topk.to_json());
       }
       options.obs.sink->emit(ev);
     }

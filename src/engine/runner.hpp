@@ -21,9 +21,6 @@
 #include "model/fairness.hpp"
 #include "obs/causality.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
-#include "obs/resource.hpp"
-#include "obs/sketch.hpp"
 #include "trace/recording_io.hpp"
 #include "trace/trace.hpp"
 
@@ -76,9 +73,6 @@ struct RunOptions {
   /// "engine_run" summary event, and traces engine.run > engine.step >
   /// engine.activate spans (export with obs::write_chrome_trace).
   obs::Instrumentation obs;
-  /// With a sink attached, also emit one "engine_step" event per
-  /// executed step (step effects: nodes touched, sends, reads, drops).
-  bool emit_step_events = false;
   /// Build the happens-before DAG of the run (obs/causality.hpp):
   /// RunResult::causality is populated, critical_path_len computed, and
   /// — with obs attached — an engine.critical_path_len gauge plus a
@@ -87,26 +81,6 @@ struct RunOptions {
   bool causality = false;
   /// Flight recorder (off by default; see FlightRecorderOptions).
   FlightRecorderOptions flight;
-  /// How much memory observability may spend (obs/sketch.hpp). kFull
-  /// keeps the exact per-step / per-node structures (trace,
-  /// node_activations); kSketched suppresses both and instead fills the
-  /// bounded RunResult sketches (flap_topk, activation_topk), keeping
-  /// observability memory independent of nodes x steps.
-  obs::ObsBudget budget = obs::ObsBudget::kFull;
-  /// Online progress: when attached, run() reports done=steps /
-  /// total=max_steps (plus steps-since-last-route-change as detail —
-  /// the distance-to-convergence-bound signal) every 64 steps, for a
-  /// TelemetrySampler to turn into progress_snapshot events. Borrowed;
-  /// must outlive the call.
-  obs::ProgressEstimator* progress = nullptr;
-  /// Observability-memory accounting: when attached, run() adds its
-  /// deterministic byte estimates (trace growth + node_activations in
-  /// kFull; sketch sizes in kSketched) so the budget contract is
-  /// measurable. Trace growth is charged as one full assignment per
-  /// recorded entry (a Path per node plus its nodes), although the trace
-  /// stores only the changes. Borrowed; deterministic (element counts,
-  /// never capacity or clocks).
-  obs::TrackedBytes* obs_memory = nullptr;
   /// Fault injection (scenario subsystem): bound to the state before the
   /// loop; quiescence does not end the run while faults are pending, and
   /// faults the scheduler applies inside next() are drained every step
@@ -138,19 +112,8 @@ struct RunResult {
   /// Fairness summary of the executed prefix.
   std::uint64_t max_attempt_gap = 0;
   std::size_t outstanding_drops = 0;
-  /// Activations per node (how often each appeared in U). Empty under
-  /// ObsBudget::kSketched — see activation_topk instead.
+  /// Activations per node (how often each appeared in U).
   std::vector<std::uint64_t> node_activations;
-  /// Populated under ObsBudget::kSketched: the most-flapped nodes
-  /// (assignment changes) and most-activated nodes, each bounded at 16
-  /// entries regardless of instance size. Exact (not approximate)
-  /// whenever at most 16 distinct nodes flapped / activated.
-  obs::TopK flap_topk{16};
-  obs::TopK activation_topk{16};
-  /// Total observability bytes this run accounted (see
-  /// RunOptions::obs_memory; 0 when accounting was off). Monotone over
-  /// the run, so the total is also the peak.
-  std::uint64_t obs_bytes = 0;
   /// High-water mark of any single channel's queue length.
   std::size_t max_channel_occupancy = 0;
   /// High-water mark of the total in-flight message bytes across all

@@ -14,23 +14,18 @@ namespace {
 
 /// The event's duration in microseconds, if it carries one.
 std::optional<std::uint64_t> event_duration_us(const JsonValue& event) {
-  if (const JsonValue* v = event.find("dur_us");
-      v != nullptr && v->is_number()) {
-    return static_cast<std::uint64_t>(v->as_number());
+  if (const auto us = truncate_number<std::uint64_t>(event.find("dur_us"))) {
+    return us;
   }
-  if (const JsonValue* v = event.find("wall_us");
-      v != nullptr && v->is_number()) {
-    return static_cast<std::uint64_t>(v->as_number());
+  if (const auto us = truncate_number<std::uint64_t>(event.find("wall_us"))) {
+    return us;
   }
-  if (const JsonValue* v = event.find("wall_ms");
-      v != nullptr && v->is_number()) {
-    return static_cast<std::uint64_t>(v->as_number() * 1000.0);
+  if (const auto us =
+          truncate_number<std::uint64_t>(event.find("wall_ms"), 1000.0)) {
+    return us;
   }
   if (const JsonValue* row = event.find("row"); row != nullptr) {
-    if (const JsonValue* v = row->find("wall_ms");
-        v != nullptr && v->is_number()) {
-      return static_cast<std::uint64_t>(v->as_number() * 1000.0);
-    }
+    return truncate_number<std::uint64_t>(row->find("wall_ms"), 1000.0);
   }
   return std::nullopt;
 }
@@ -135,21 +130,18 @@ std::vector<SpanRecord> spans_from_jsonl(std::istream& in) {
       continue;
     }
     const JsonValue* name = parsed->find("name");
-    const JsonValue* ts = parsed->find("ts_us");
-    const JsonValue* dur = parsed->find("dur_us");
-    if (name == nullptr || !name->is_string() || ts == nullptr ||
-        !ts->is_number() || dur == nullptr || !dur->is_number()) {
+    const auto ts = truncate_number<std::uint64_t>(parsed->find("ts_us"));
+    const auto dur = truncate_number<std::uint64_t>(parsed->find("dur_us"));
+    if (name == nullptr || !name->is_string() || !ts.has_value() ||
+        !dur.has_value()) {
       continue;
     }
     SpanRecord rec;
     rec.name = name->as_string();
-    rec.start_us = static_cast<std::uint64_t>(ts->as_number());
-    rec.dur_us = static_cast<std::uint64_t>(dur->as_number());
-    const auto u32 = [&](const char* key) -> std::uint32_t {
-      const JsonValue* v = parsed->find(key);
-      return (v != nullptr && v->is_number())
-                 ? static_cast<std::uint32_t>(v->as_number())
-                 : 0;
+    rec.start_us = *ts;
+    rec.dur_us = *dur;
+    const auto u32 = [&](const char* key) {
+      return truncate_number<std::uint32_t>(parsed->find(key)).value_or(0);
     };
     rec.id = u32("id");
     rec.parent = u32("parent");
@@ -175,29 +167,21 @@ std::vector<SpanRecord> spans_from_chrome_trace(const JsonValue& doc) {
       continue;
     }
     const JsonValue* name = event.find("name");
-    const JsonValue* ts = event.find("ts");
-    const JsonValue* dur = event.find("dur");
-    if (name == nullptr || !name->is_string() || ts == nullptr ||
-        !ts->is_number() || dur == nullptr || !dur->is_number()) {
+    const auto ts = truncate_number<std::uint64_t>(event.find("ts"));
+    const auto dur = truncate_number<std::uint64_t>(event.find("dur"));
+    if (name == nullptr || !name->is_string() || !ts.has_value() ||
+        !dur.has_value()) {
       continue;
     }
     SpanRecord rec;
     rec.name = name->as_string();
-    rec.start_us = static_cast<std::uint64_t>(ts->as_number());
-    rec.dur_us = static_cast<std::uint64_t>(dur->as_number());
-    if (const JsonValue* tid = event.find("tid");
-        tid != nullptr && tid->is_number()) {
-      rec.tid = static_cast<std::uint32_t>(tid->as_number());
-    }
+    rec.start_us = *ts;
+    rec.dur_us = *dur;
+    rec.tid = truncate_number<std::uint32_t>(event.find("tid")).value_or(0);
     if (const JsonValue* args = event.find("args"); args != nullptr) {
-      if (const JsonValue* id = args->find("id");
-          id != nullptr && id->is_number()) {
-        rec.id = static_cast<std::uint32_t>(id->as_number());
-      }
-      if (const JsonValue* parent = args->find("parent");
-          parent != nullptr && parent->is_number()) {
-        rec.parent = static_cast<std::uint32_t>(parent->as_number());
-      }
+      rec.id = truncate_number<std::uint32_t>(args->find("id")).value_or(0);
+      rec.parent =
+          truncate_number<std::uint32_t>(args->find("parent")).value_or(0);
     }
     records.push_back(std::move(rec));
   }
@@ -242,10 +226,7 @@ std::vector<SpanStat> span_self_times(
 namespace {
 
 std::uint64_t u64_field(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  return (v != nullptr && v->is_number())
-             ? static_cast<std::uint64_t>(v->as_number())
-             : 0;
+  return truncate_number<std::uint64_t>(obj.find(key)).value_or(0);
 }
 
 }  // namespace
@@ -269,13 +250,14 @@ MemoryReport memory_report(std::istream& in) {
     if (type->as_string() == "telemetry_snapshot") {
       ++report.snapshots;
       for (const auto& [name, value] : parsed->as_object()) {
-        if (!value.is_number() || name == "type" || name == "seq" ||
+        const auto last = truncate_number<std::uint64_t>(&value);
+        if (!last.has_value() || name == "type" || name == "seq" ||
             name == "elapsed_ms") {
           continue;
         }
         MemorySeries& s = series[name];
         s.name = name;
-        s.last = static_cast<std::uint64_t>(value.as_number());
+        s.last = *last;
         s.peak = std::max(s.peak, s.last);
         ++s.samples;
       }
@@ -448,17 +430,19 @@ BenchDiff bench_diff(const JsonValue& baseline, const JsonValue& current,
   if (base_metrics != nullptr && base_metrics->is_object() &&
       current_metrics != nullptr && current_metrics->is_object()) {
     for (const auto& [name, value] : base_metrics->as_object()) {
-      if (!ends_with(name, "_bytes") || !value.is_number()) {
+      if (!ends_with(name, "_bytes")) {
         continue;
       }
-      const JsonValue* cur = current_metrics->find(name);
-      if (cur == nullptr || !cur->is_number()) {
+      const auto base = truncate_number<std::uint64_t>(&value);
+      const auto cur =
+          truncate_number<std::uint64_t>(current_metrics->find(name));
+      if (!base.has_value() || !cur.has_value()) {
         continue;
       }
       MemDelta delta;
       delta.name = name;
-      delta.base_bytes = static_cast<std::uint64_t>(value.as_number());
-      delta.current_bytes = static_cast<std::uint64_t>(cur->as_number());
+      delta.base_bytes = *base;
+      delta.current_bytes = *cur;
       delta.delta_pct =
           delta.base_bytes > 0
               ? (static_cast<double>(delta.current_bytes) -

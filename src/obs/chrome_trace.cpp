@@ -101,11 +101,7 @@ std::optional<std::uint64_t> slice_step(const SpanRecord& rec) {
   if (!parsed.has_value() || !parsed->is_object()) {
     return std::nullopt;
   }
-  const JsonValue* step = parsed->find("step");
-  if (step == nullptr || !step->is_number()) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(step->as_number());
+  return truncate_number<std::uint64_t>(parsed->find("step"));
 }
 
 std::string render_trace(const SpanCollector& collector,
@@ -188,35 +184,23 @@ JsonlConversion chrome_trace_from_jsonl(std::istream& in) {
         (type != nullptr && type->is_string()) ? type->as_string() : "event";
 
     if (name == "span") {
-      const JsonValue* ts = parsed->find("ts_us");
-      const JsonValue* dur = parsed->find("dur_us");
-      const JsonValue* tid = parsed->find("tid");
-      const JsonValue* id = parsed->find("id");
-      const JsonValue* parent = parsed->find("parent");
+      const auto ts = truncate_number<std::uint64_t>(parsed->find("ts_us"));
+      const auto dur = truncate_number<std::uint64_t>(parsed->find("dur_us"));
+      const auto u32 = [&](const char* key) {
+        return truncate_number<std::uint32_t>(parsed->find(key)).value_or(0);
+      };
       const JsonValue* span_name = parsed->find("name");
-      if (ts == nullptr || !ts->is_number() || dur == nullptr ||
-          !dur->is_number() || span_name == nullptr ||
+      if (!ts.has_value() || !dur.has_value() || span_name == nullptr ||
           !span_name->is_string()) {
         ++result.skipped;
         continue;
       }
       const JsonValue* attrs = parsed->find("args");
-      const std::uint32_t event_tid =
-          (tid != nullptr && tid->is_number())
-              ? static_cast<std::uint32_t>(tid->as_number())
-              : 0;
+      const std::uint32_t event_tid = u32("tid");
       tids.insert(event_tid);
       events.push_back(complete_slice(
-          span_name->as_string(),
-          static_cast<std::uint64_t>(ts->as_number()),
-          static_cast<std::uint64_t>(dur->as_number()),
-          event_tid,
-          span_args((id != nullptr && id->is_number())
-                        ? static_cast<std::uint32_t>(id->as_number())
-                        : 0,
-                    (parent != nullptr && parent->is_number())
-                        ? static_cast<std::uint32_t>(parent->as_number())
-                        : 0,
+          span_name->as_string(), *ts, *dur, event_tid,
+          span_args(u32("id"), u32("parent"),
                     (attrs != nullptr && attrs->is_object())
                         ? json_render(*attrs)
                         : std::string())));
@@ -227,11 +211,10 @@ JsonlConversion chrome_trace_from_jsonl(std::istream& in) {
     // Any other event becomes an instant mark; heartbeats carry their
     // own position (elapsed_ms), everything else ticks a synthetic
     // per-line clock so ordering survives.
-    const JsonValue* elapsed = parsed->find("elapsed_ms");
+    const auto elapsed_us =
+        truncate_number<std::uint64_t>(parsed->find("elapsed_ms"), 1000.0);
     const std::uint64_t ts =
-        (elapsed != nullptr && elapsed->is_number())
-            ? static_cast<std::uint64_t>(elapsed->as_number() * 1000.0)
-            : fallback_ts++;
+        elapsed_us.has_value() ? *elapsed_us : fallback_ts++;
     JsonWriter args;
     for (const auto& [key, value] : parsed->as_object()) {
       if (key != "type") {

@@ -118,15 +118,10 @@ JsonWriter& JsonWriter::raw_field(std::string_view key,
 std::string JsonWriter::str() const { return "{" + body_ + "}"; }
 
 std::optional<std::uint64_t> JsonValue::as_u64() const {
-  if (!is_number()) {
+  if (!is_number() || as_number() != std::floor(as_number())) {
     return std::nullopt;
   }
-  const double x = as_number();
-  // 2^64 is exact as a double; the negated test also rejects NaN.
-  if (!(x >= 0.0 && x < 18446744073709551616.0) || x != std::floor(x)) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(x);
+  return truncate_number<std::uint64_t>(this);
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {

@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -77,6 +79,28 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const;
 };
+
+/// The number `v` points at, times `scale`, truncated toward zero into
+/// the unsigned type T: exactly static_cast<T>(x) wherever that cast is
+/// defined. nullopt when `v` is null or not a number, and when the
+/// truncated value does not fit in T (NaN, <= -1, >= 2^bits), where the
+/// cast would be undefined. Readers of untrusted JSON convert numbers
+/// through this and treat nullopt like an absent field.
+template <typename T>
+std::optional<T> truncate_number(const JsonValue* v, double scale = 1.0) {
+  static_assert(std::is_unsigned_v<T>);
+  if (v == nullptr || !v->is_number()) {
+    return std::nullopt;
+  }
+  const double x = v->as_number() * scale;
+  // 2^bits is exact as a double; the negated test also rejects NaN.
+  const double limit =
+      2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+  if (!(x > -1.0 && x < limit)) {
+    return std::nullopt;
+  }
+  return static_cast<T>(x);
+}
 
 /// Parses one complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected). nullopt on any syntax error. Hardened

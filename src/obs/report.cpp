@@ -13,11 +13,7 @@ namespace {
 
 std::optional<std::uint64_t> num_field(const JsonValue& obj,
                                        std::string_view key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(v->as_number());
+  return truncate_number<std::uint64_t>(obj.find(key));
 }
 
 double dbl_field(const JsonValue& obj, std::string_view key) {
@@ -122,13 +118,13 @@ RunReport build_report(std::istream& in, std::string source) {
     if (type == "telemetry_snapshot") {
       const std::uint64_t elapsed = num_field(ev, "elapsed_ms").value_or(0);
       for (const auto& [key, value] : ev.as_object()) {
-        if (!value.is_number() || key == "seq" || key == "elapsed_ms") {
+        const auto y = truncate_number<std::uint64_t>(&value);
+        if (!y.has_value() || key == "seq" || key == "elapsed_ms") {
           continue;
         }
         ReportSeries& series = telemetry[key];
         series.name = key;
-        series.add(elapsed,
-                   static_cast<std::uint64_t>(value.as_number()));
+        series.add(elapsed, *y);
       }
     } else if (type == "progress_snapshot") {
       const std::string name = str_field(ev, "name");
@@ -143,7 +139,8 @@ RunReport build_report(std::istream& in, std::string source) {
       ReportSeries& series = progress_series[name];
       series.name = name;
       series.add(num_field(ev, "elapsed_ms").value_or(0),
-                 static_cast<std::uint64_t>(p.fraction * 1000.0));
+                 truncate_number<std::uint64_t>(ev.find("fraction"), 1000.0)
+                     .value_or(0));
     } else if (type == "campaign_row") {
       if (const JsonValue* row = ev.find("row");
           row != nullptr && row->is_object()) {
@@ -189,9 +186,10 @@ RunReport build_report(std::istream& in, std::string source) {
       report.recording_changes = num_field(ev, "changes").value_or(0);
     }
 
-    // Any event may carry embedded sketch blobs (engine_run's flap_topk,
-    // sim_summary's latency_hist, campaign_sketch, ...) or a critical
-    // path. Detected structurally, so new producers need no report edit.
+    // Any event may carry embedded sketch blobs (LogHistogram / TopK
+    // to_json objects under any key, as older artifacts carry on
+    // engine_run, sim_summary and checker_summary) or a critical path.
+    // Detected structurally, so producers need no report edit.
     for (const auto& [key, value] : ev.as_object()) {
       if (is_hist_blob(value)) {
         ReportQuantiles& row = quantiles[type + "." + key];

@@ -45,8 +45,9 @@ struct ReportSeries {
   std::uint64_t stride_ = 1;
 };
 
-/// Latest parsed log-histogram sketch of one labeled source
-/// (`sim_summary.latency_hist`, `checker_summary.successor_hist`, ...).
+/// Latest parsed log-histogram sketch of one labeled source, labeled
+/// `<event type>.<key>` (older artifacts carry them on sim_summary and
+/// checker_summary).
 struct ReportQuantiles {
   std::string label;
   std::uint64_t occurrences = 0;  ///< events that carried this sketch

@@ -21,16 +21,6 @@ unsigned floor_log2(std::uint64_t v) {
 
 }  // namespace
 
-std::string to_string(ObsBudget budget) {
-  switch (budget) {
-    case ObsBudget::kFull:
-      return "full";
-    case ObsBudget::kSketched:
-      return "sketched";
-  }
-  throw InvariantError("bad ObsBudget");
-}
-
 // ---- LogHistogram --------------------------------------------------------
 
 LogHistogram::LogHistogram(unsigned precision_bits) : bits_(precision_bits) {

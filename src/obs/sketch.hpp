@@ -1,8 +1,8 @@
-// Streaming sketches: bounded-memory, mergeable summaries for
-// internet-scale observability. Two structures, both deterministic and
-// both with *commutative, associative* merge_from, so per-worker shards
-// combine into byte-identical JSON at any thread width (the same
-// shard-and-merge contract Registry::merge_from established):
+// Streaming sketches: bounded-memory, mergeable summaries. Two
+// structures, both deterministic and both with *commutative, associative*
+// merge_from, so per-worker shards combine into byte-identical JSON at
+// any thread width (the same shard-and-merge contract
+// Registry::merge_from established):
 //
 //   * LogHistogram — an HDR-style log-bucketed histogram with
 //     configurable precision and an exact quantile-error contract:
@@ -15,10 +15,9 @@
 //     exact (and order-invariant) whenever capacity covers the distinct
 //     keys, approximate with documented eviction ties otherwise.
 //
-// The ObsBudget knob selects between the exact per-node / per-step
-// observability structures (kFull) and these sketches (kSketched) in
-// engine::run, checker::explore, sim::run, and study::run_campaign —
-// forensics degrade gracefully instead of OOMing at 100k+ nodes.
+// StreamingSummarizer (`commroute-obs summarize`) spills its duration
+// quantiles into a LogHistogram, and the run report reads both kinds of
+// blob back from event streams.
 #pragma once
 
 #include <cstdint>
@@ -27,14 +26,6 @@
 #include <vector>
 
 namespace commroute::obs {
-
-/// How much memory observability may spend on a run (see file comment).
-enum class ObsBudget {
-  kFull,      ///< exact maps/vectors; memory grows with nodes x steps
-  kSketched,  ///< bounded sketches; memory independent of instance size
-};
-
-std::string to_string(ObsBudget budget);
 
 /// Log-bucketed histogram over uint64 values. Values below
 /// 2^precision_bits are counted exactly; above, buckets group values

@@ -53,8 +53,7 @@ class SimScheduler final : public engine::Scheduler,
   SimScheduler(const spp::Instance& instance, const SimOptions& options)
       : inst_(&instance),
         opts_(&options),
-        rng_(options.seed),
-        sketched_(options.budget == obs::ObsBudget::kSketched) {
+        rng_(options.seed) {
     const Graph& g = instance.graph();
     links_.assign(g.channel_count(), options.link);
     for (const auto& [c, link] : options.link_overrides) {
@@ -152,11 +151,7 @@ class SimScheduler final : public engine::Scheduler,
       if (!step.has_value()) {
         continue;  // deferred: a later kActivate event was queued
       }
-      if (!sketched_) {
-        // O(steps) memory — the sketched budget drops the vector and
-        // keeps only last_step_time_ (= virtual_end_us).
-        step_time_us_.push_back(clock_.now());
-      }
+      step_time_us_.push_back(clock_.now());
       last_step_time_ = clock_.now();
       return std::move(*step);
     }
@@ -179,7 +174,6 @@ class SimScheduler final : public engine::Scheduler,
   VirtualTime now() const { return clock_.now(); }
   VirtualTime last_step_time() const { return last_step_time_; }
   const std::vector<VirtualTime>& step_times() const { return step_time_us_; }
-  const obs::LogHistogram& latency_hist() const { return latency_hist_; }
   std::uint64_t events_processed() const { return events_processed_; }
   std::uint64_t messages_delivered() const { return messages_delivered_; }
   std::uint64_t messages_lost() const { return messages_lost_; }
@@ -221,9 +215,6 @@ class SimScheduler final : public engine::Scheduler,
       ev.kind = Event::Kind::kArrival;
       ev.channel = c;
       queue_.push(ev);
-      if (sketched_) {
-        latency_hist_.observe(latency);
-      }
       ++latency_samples_;
       latency_sum_us_ += latency;
       latency_min_us_ = latency_samples_ == 1
@@ -600,8 +591,6 @@ class SimScheduler final : public engine::Scheduler,
   std::size_t faults_pending_ = 0;
   std::uint64_t faults_applied_ = 0;
   VirtualTime last_fault_us_ = 0;
-  bool sketched_;
-  obs::LogHistogram latency_hist_;
   VirtualTime last_step_time_ = 0;
   std::vector<VirtualTime> step_time_us_;
   std::uint64_t events_processed_ = 0;
@@ -624,12 +613,10 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
 
   obs::Span sim_span = options.obs.span("sim.run");
 
-  const bool sketched = options.budget == obs::ObsBudget::kSketched;
   SimScheduler scheduler(instance, options);
   engine::RunOptions ropts;
   ropts.max_steps = options.max_steps;
-  // Flap timing needs the pi-sequence; the sketched budget gives it up
-  // (engine::run suppresses the trace under kSketched anyway).
+  // Flap timing needs the pi-sequence.
   ropts.record_trace = true;
   // The sim's configuration includes its event queue and RNG stream,
   // which no scheduler signature can capture — run without (sound)
@@ -637,12 +624,8 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
   ropts.detect_cycles = false;
   ropts.enforce_model = options.model;
   ropts.obs = options.obs;
-  ropts.emit_step_events = options.emit_step_events;
   ropts.causality = options.causality;
   ropts.flight = options.flight;
-  ropts.budget = options.budget;
-  ropts.progress = options.progress;
-  ropts.obs_memory = options.obs_memory;
   const bool faulted =
       options.faults != nullptr && !options.faults->empty();
   if (faulted) {
@@ -662,9 +645,6 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
 
   result.step_time_us = scheduler.step_times();
   result.virtual_end_us = scheduler.last_step_time();
-  if (sketched) {
-    result.latency_hist = scheduler.latency_hist();
-  }
   result.events_processed = scheduler.events_processed();
   result.messages_delivered = scheduler.messages_delivered();
   result.messages_lost = scheduler.messages_lost();
@@ -681,14 +661,10 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
   }
 
   // Flap times from the recorded pi-sequence: step t's changes happened
-  // at step_time_us[t - 1]. Skipped under the sketched budget (no trace,
-  // no step_time_us) — run.flap_topk carries the bounded per-node flap
-  // counts instead.
+  // at step_time_us[t - 1].
   const trace::Trace& tr = result.run.trace;
-  if (!sketched) {
-    result.last_flap_us.assign(instance.node_count(), 0);
-  }
-  CR_ASSERT(sketched || tr.size() == result.step_time_us.size() + 1,
+  result.last_flap_us.assign(instance.node_count(), 0);
+  CR_ASSERT(tr.size() == result.step_time_us.size() + 1,
             "sim trace / step-time length mismatch");
   for (std::size_t t = 1; t < tr.size(); ++t) {
     const std::span<const trace::Change> changes = tr.changes(t);
@@ -751,14 +727,6 @@ SimResult run(const spp::Instance& instance, const SimOptions& options) {
             .field("last_fault_us", result.last_fault_us)
             .field("reconverge_us", result.reconverge_us());
       }
-      if (sketched) {
-        // Gated so full-mode sim_summary lines keep their exact
-        // pre-budget bytes. All sketch JSON is virtual-time / count
-        // derived, hence as byte-stable as the rest of the event.
-        ev.field("obs_budget", obs::to_string(options.budget))
-            .raw_field("latency_hist", result.latency_hist.to_json())
-            .raw_field("flap_topk", result.run.flap_topk.to_json());
-      }
       options.obs.sink->emit(ev);
     }
   }
@@ -798,10 +766,6 @@ std::string SimResult::to_json() const {
   }
   flaps += ']';
   w.raw_field("last_flap_us", flaps);
-  if (latency_hist.count() > 0) {
-    // Sketched runs only — full-mode documents keep their exact schema.
-    w.raw_field("latency_hist", latency_hist.to_json());
-  }
   return w.str();
 }
 

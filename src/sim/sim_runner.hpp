@@ -75,23 +75,12 @@ struct SimOptions {
   /// one "sim_summary" event (virtual-time fields only — a sim_summary
   /// is byte-stable for a fixed seed).
   obs::Instrumentation obs;
-  bool emit_step_events = false;
   /// Build the happens-before DAG of the induced run (forwarded to
   /// engine::RunOptions::causality). Under the sim every activation is
   /// stamped with its virtual time, so SimResult::critical_path_us is
   /// the provable latency lower bound for this seed: no execution of
   /// this dependency structure can converge earlier.
   bool causality = false;
-  /// Forwarded to engine::RunOptions::budget. kSketched keeps sim
-  /// memory independent of nodes x steps: the trace, step_time_us, and
-  /// last_flap_us vectors are suppressed (last_change_us then stays 0 —
-  /// exact flap timing is what the budget trades away), and the bounded
-  /// summaries take their place: run.flap_topk / run.activation_topk
-  /// from the engine plus SimResult::latency_hist.
-  obs::ObsBudget budget = obs::ObsBudget::kFull;
-  /// Forwarded to engine::RunOptions::progress / obs_memory.
-  obs::ProgressEstimator* progress = nullptr;
-  obs::TrackedBytes* obs_memory = nullptr;
   /// Timed fault schedule (scenario/fault.hpp) injected through the DES
   /// event queue: link down/up, session resets, node reboots, regime
   /// shifts. Borrowed; must outlive the call. A quiescent network keeps
@@ -115,17 +104,11 @@ struct SimResult {
   /// Virtual time of the last step that changed any assignment.
   std::uint64_t last_change_us = 0;
   /// Per node: virtual time of the last step that changed pi_v
-  /// (the node's last route flap; 0 = pi_v never changed). Empty under
-  /// ObsBudget::kSketched.
+  /// (the node's last route flap; 0 = pi_v never changed).
   std::vector<std::uint64_t> last_flap_us;
   /// Virtual timestamp of each executed step, parallel to the steps of
-  /// run.trace (step t executed at step_time_us[t-1]). Empty under
-  /// ObsBudget::kSketched.
+  /// run.trace (step t executed at step_time_us[t-1]).
   std::vector<std::uint64_t> step_time_us;
-  /// Populated under ObsBudget::kSketched: log-bucketed distribution of
-  /// every sampled per-message link latency (bounded replacement for
-  /// the per-sample view the latency_* scalars only summarize).
-  obs::LogHistogram latency_hist;
   /// Virtual length of the critical dependency chain to convergence
   /// (SimOptions::causality only, else 0): the timestamp of the chain's
   /// terminal activation, whose roots are boot activations at t = 0.

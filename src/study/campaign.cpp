@@ -338,7 +338,6 @@ CampaignRow run_sim_row(const CampaignSpec& spec, const RowTask& task,
                                task.model.index(), task.kind, task.seed);
   sopts.max_steps = spec.max_steps;
   sopts.causality = spec.causality;
-  sopts.budget = spec.budget;
   sopts.obs.metrics = obs.metrics;
   sopts.obs.spans = obs.spans;
   if (!task.flush_path.empty()) {
@@ -423,7 +422,6 @@ CampaignRow run_one_row(const CampaignSpec& spec, const RowTask& task,
   options.max_steps = spec.max_steps;
   options.record_trace = false;
   options.causality = spec.causality;
-  options.budget = spec.budget;
   // Engine aggregates accumulate in the worker's registry shard and
   // engine spans nest under the row span; both merge into the
   // campaign-level handles after the sweep.
@@ -752,48 +750,6 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     spec.obs.sink->emit(ev);
   }
 
-  if (spec.budget == obs::ObsBudget::kSketched &&
-      spec.obs.sink != nullptr) {
-    // Sweep-level sketches, computed from the finished rows in
-    // enumeration order — a pure function of the deterministic row
-    // fields, so the event is byte-identical at any thread width.
-    obs::LogHistogram steps_hist;
-    obs::LogHistogram messages_hist;
-    obs::TopK instance_steps(16);
-    std::string instances = "[";
-    std::size_t instance_index = 0;
-    for (const auto& [name, inst] : spec.instances) {
-      (void)inst;
-      if (instance_index > 0) {
-        instances += ',';
-      }
-      instances += '"' + obs::json_escape(name) + '"';
-      ++instance_index;
-    }
-    instances += ']';
-    for (const CampaignRow& row : result.rows) {
-      steps_hist.observe(row.steps);
-      messages_hist.observe(row.messages_sent);
-      // Perturbation variants fold into their base instance's bucket
-      // (variant names are "<base>~<label>#<p>").
-      const std::string base_name =
-          row.instance.substr(0, row.instance.find('~'));
-      for (std::size_t i = 0; i < spec.instances.size(); ++i) {
-        if (spec.instances[i].first == base_name) {
-          instance_steps.add(i, row.steps);
-          break;
-        }
-      }
-    }
-    obs::Event ev("campaign_sketch");
-    ev.field("obs_budget", obs::to_string(spec.budget))
-        .field("rows", static_cast<std::uint64_t>(result.rows.size()))
-        .raw_field("steps_hist", steps_hist.to_json())
-        .raw_field("messages_hist", messages_hist.to_json())
-        .raw_field("instance_steps_topk", instance_steps.to_json())
-        .raw_field("instances", instances);
-    spec.obs.sink->emit(ev);
-  }
   return result;
 }
 

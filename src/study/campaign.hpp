@@ -102,14 +102,6 @@ struct CampaignSpec {
   /// identical rows, CSV/JSON bytes (timing fields aside), campaign_row
   /// event order, and merged metric aggregates — see run_campaign.
   std::size_t threads = 0;
-  /// Observability budget forwarded to every row (engine::RunOptions /
-  /// sim::SimOptions::budget). Under kSketched the driver additionally
-  /// emits one "campaign_sketch" event (steps/messages log-histograms,
-  /// per-instance steps top-K) computed from the finished rows in
-  /// enumeration order — byte-identical at any thread width, like the
-  /// rest of the event stream. Row fields and CSV/JSON columns are
-  /// unchanged by the knob.
-  obs::ObsBudget budget = obs::ObsBudget::kFull;
 };
 
 /// One (instance, model, scheduler, seed) outcome.

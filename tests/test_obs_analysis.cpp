@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/analysis.hpp"
+#include "obs/chrome_trace.hpp"
 #include "support/error.hpp"
 
 namespace commroute {
@@ -319,6 +320,144 @@ TEST(SpanSelfTimes, MisNestedParentsDegradeGracefully) {
     }
     EXPECT_EQ(stat.count, 1u);
   }
+}
+
+// ---- Out-of-range numbers (-5, 1e30: no unsigned value) ------------------
+// A cast of such a number is undefined; every reader handles it the way
+// it handles the field being absent.
+
+TEST(SummarizeJsonl, OutOfRangeDurationsReadAsAbsent) {
+  std::istringstream in(
+      "{\"type\":\"a\",\"dur_us\":-5}\n"
+      "{\"type\":\"a\",\"dur_us\":1e30}\n"
+      "{\"type\":\"b\",\"dur_us\":-5,\"wall_us\":7}\n"
+      "{\"type\":\"c\",\"wall_ms\":-5}\n"
+      "{\"type\":\"c\",\"row\":{\"wall_ms\":1e30}}\n");
+  const obs::JsonlSummary summary = obs::summarize_jsonl(in);
+  const obs::EventTypeSummary* a = find_type(summary, "a");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->count, 2u);
+  EXPECT_EQ(a->timed, 0u);
+  const obs::EventTypeSummary* b = find_type(summary, "b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->total_us, 7u);  // the next duration spelling
+  const obs::EventTypeSummary* c = find_type(summary, "c");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->timed, 0u);
+}
+
+TEST(SpansFromJsonl, OutOfRangeNumbersReadAsAbsent) {
+  std::istringstream in(
+      "{\"type\":\"span\",\"name\":\"neg\",\"ts_us\":-5,\"dur_us\":2}\n"
+      "{\"type\":\"span\",\"name\":\"huge\",\"ts_us\":0,"
+      "\"dur_us\":1e30}\n"
+      "{\"type\":\"span\",\"name\":\"ok\",\"ts_us\":1,\"dur_us\":2,"
+      "\"id\":-5,\"parent\":1e30,\"tid\":5e9}\n");
+  const auto records = obs::spans_from_jsonl(in);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, "ok");
+  EXPECT_EQ(records[0].id, 0u);
+  EXPECT_EQ(records[0].parent, 0u);
+  EXPECT_EQ(records[0].tid, 0u);  // 5e9 fits 64 bits, not 32
+}
+
+TEST(SpansFromChromeTrace, OutOfRangeNumbersReadAsAbsent) {
+  const auto doc = parse_or_die(
+      "{\"traceEvents\":["
+      "{\"name\":\"neg\",\"ph\":\"X\",\"ts\":-5,\"dur\":1},"
+      "{\"name\":\"huge\",\"ph\":\"X\",\"ts\":0,\"dur\":1e30},"
+      "{\"name\":\"ok\",\"ph\":\"X\",\"ts\":2.75,\"dur\":3.5,\"tid\":-5,"
+      "\"args\":{\"id\":1e30,\"parent\":-5}}]}");
+  const auto records = obs::spans_from_chrome_trace(doc);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].name, "ok");
+  EXPECT_EQ(records[0].start_us, 2u);  // fractions still truncate
+  EXPECT_EQ(records[0].dur_us, 3u);
+  EXPECT_EQ(records[0].tid, 0u);
+  EXPECT_EQ(records[0].id, 0u);
+  EXPECT_EQ(records[0].parent, 0u);
+}
+
+TEST(ChromeTraceFromJsonl, OutOfRangeNumbersReadAsAbsent) {
+  std::istringstream in(
+      "{\"type\":\"span\",\"name\":\"neg\",\"ts_us\":-5,\"dur_us\":1}\n"
+      "{\"type\":\"span\",\"name\":\"huge\",\"ts_us\":1e30,"
+      "\"dur_us\":1}\n"
+      "{\"type\":\"span\",\"name\":\"ok\",\"ts_us\":1,\"dur_us\":2,"
+      "\"tid\":-5,\"id\":1e30,\"parent\":-5}\n"
+      "{\"type\":\"checker_heartbeat\",\"elapsed_ms\":-3}\n"
+      "{\"type\":\"checker_heartbeat\",\"elapsed_ms\":1e30}\n"
+      "{\"type\":\"mark\"}\n");
+  const obs::JsonlConversion conversion = obs::chrome_trace_from_jsonl(in);
+  EXPECT_EQ(conversion.skipped, 2u);  // spans without a start time
+  EXPECT_EQ(conversion.events, 4u);
+  const auto doc = parse_or_die(conversion.trace_json);
+  const auto slices = obs::spans_from_chrome_trace(doc);
+  ASSERT_EQ(slices.size(), 1u);
+  EXPECT_EQ(slices[0].tid, 0u);
+  EXPECT_EQ(slices[0].id, 0u);
+  EXPECT_EQ(slices[0].parent, 0u);
+  // Marks without a usable elapsed_ms sit on the synthetic clock.
+  std::vector<double> instants;
+  for (const obs::JsonValue& event : doc.find("traceEvents")->as_array()) {
+    if (event.find("ph")->as_string() == "i") {
+      instants.push_back(event.find("ts")->as_number());
+    }
+  }
+  EXPECT_EQ(instants, (std::vector<double>{0, 1, 2}));
+}
+
+TEST(MemoryReport, OutOfRangeNumbersReadAsAbsent) {
+  std::istringstream in(
+      "{\"type\":\"telemetry_snapshot\",\"elapsed_ms\":-3,"
+      "\"rss_bytes\":100,\"neg\":-5,\"huge\":1e30}\n"
+      "{\"type\":\"checker_summary\",\"tracked_peak_bytes\":-5}\n"
+      "{\"type\":\"engine_run\",\"peak_channel_bytes\":1e30}\n"
+      "{\"type\":\"campaign_row\",\"row\":{\"peak_channel_bytes\":-5}}\n");
+  const obs::MemoryReport report = obs::memory_report(in);
+  ASSERT_EQ(report.series.size(), 1u);
+  EXPECT_EQ(report.series[0].name, "rss_bytes");
+  EXPECT_EQ(report.series[0].last, 100u);
+  EXPECT_EQ(report.tracked_peak_bytes, 0u);
+  EXPECT_EQ(report.peak_channel_bytes, 0u);
+}
+
+TEST(PoolReport, OutOfRangeNumbersReadAsAbsent) {
+  std::istringstream in(
+      "{\"type\":\"pool_summary\",\"workers\":-5,\"tasks_executed\":1e30,"
+      "\"busy_us\":-5,\"idle_us\":10,\"queue_depth_peak\":-5,"
+      "\"per_worker\":[{\"worker\":1e30,\"tasks\":-5,\"busy_us\":-5}]}\n"
+      "{\"type\":\"telemetry_snapshot\",\"elapsed_ms\":-3,"
+      "\"pool.queue_depth\":1e30,\"pool.tasks_executed\":-5}\n");
+  const obs::PoolReport report = obs::pool_report(in);
+  ASSERT_TRUE(report.has_summary);
+  EXPECT_EQ(report.workers, 0u);
+  EXPECT_EQ(report.tasks_executed, 0u);
+  EXPECT_EQ(report.busy_us, 0u);
+  EXPECT_EQ(report.queue_depth_peak, 0u);
+  EXPECT_DOUBLE_EQ(report.utilization, 0.0);  // 0 busy of 10
+  ASSERT_EQ(report.per_worker.size(), 1u);
+  EXPECT_EQ(report.per_worker[0].worker, 0u);
+  EXPECT_EQ(report.per_worker[0].tasks, 0u);
+  EXPECT_EQ(report.per_worker[0].busy_us, 0u);
+  ASSERT_EQ(report.timeline.size(), 1u);
+  EXPECT_EQ(report.timeline[0].elapsed_ms, 0u);
+  EXPECT_EQ(report.timeline[0].queue_depth, 0u);
+  EXPECT_EQ(report.timeline[0].tasks_executed, 0u);
+}
+
+TEST(BenchDiff, OutOfRangeByteMetricsAreSkipped) {
+  const auto baseline = bench_doc_with_metrics(
+      "\"ok_bytes\":100,\"neg_bytes\":-5,\"huge_bytes\":1e30,"
+      "\"cur_bad_bytes\":100");
+  const auto current = bench_doc_with_metrics(
+      "\"ok_bytes\":110,\"neg_bytes\":100,\"huge_bytes\":100,"
+      "\"cur_bad_bytes\":-5");
+  const obs::BenchDiff diff =
+      obs::bench_diff(baseline, current, 10.0, 25.0);
+  ASSERT_EQ(diff.mem_deltas.size(), 1u);
+  EXPECT_EQ(diff.mem_deltas[0].name, "ok_bytes");
+  EXPECT_FALSE(diff.mem_regression);
 }
 
 }  // namespace

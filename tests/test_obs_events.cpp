@@ -146,26 +146,6 @@ TEST(EngineRun, EmitsSummaryEventAndPublishesMetrics) {
             result.messages_sent);
 }
 
-TEST(EngineRun, StepEventsAreOptIn) {
-  const spp::Instance good = spp::good_gadget();
-  const Model m = Model::parse("REA");
-  engine::RoundRobinScheduler sched(m, good);
-  obs::MemorySink sink;
-  engine::RunOptions options;
-  options.record_trace = false;
-  options.obs.sink = &sink;
-  options.emit_step_events = true;
-  const auto result = engine::run(good, sched, options);
-  std::size_t step_events = 0;
-  for (const std::string& line : sink.lines()) {
-    if (parse_or_die(line).find("type")->as_string() == "engine_step") {
-      ++step_events;
-    }
-  }
-  EXPECT_EQ(step_events, result.steps);
-  EXPECT_EQ(sink.lines().size(), result.steps + 1);  // + engine_run
-}
-
 TEST(CheckerExplore, EmitsHeartbeatsAndAFinalSummary) {
   const spp::Instance dis = spp::disagree();
   obs::MemorySink sink;

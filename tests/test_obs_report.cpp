@@ -6,6 +6,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/analysis.hpp"
 #include "obs/report.hpp"
@@ -152,6 +154,43 @@ TEST(RunReport, EmptyInputProducesAnEmptyButValidReport) {
   ASSERT_TRUE(doc.has_value());
   const std::string html = report_html(report, "");
   EXPECT_NE(html.find("0 lines"), std::string::npos);
+}
+
+TEST(RunReport, OutOfRangeNumbersReadAsAbsentFields) {
+  // -5 and 1e30 have no uint64 value (a cast would be undefined): each
+  // field reads as if it were missing.
+  std::istringstream in(
+      R"({"type":"telemetry_snapshot","elapsed_ms":-3,"rss_bytes":10,"neg":-5,"huge":1e30})"
+      "\n"
+      R"({"type":"progress_snapshot","name":"rows","done":-5,"total":1e30,"fraction":-5,"elapsed_ms":1e30})"
+      "\n"
+      R"({"type":"engine_run","critical_path_len":-5,"critical_path_us":1e30,"hist":{"precision_bits":5,"count":-5,"sum":1e30,"buckets":1},"top":{"capacity":16,"entries":[{"key":-5,"count":7},{"key":1e30,"count":7},{"key":2,"count":-5},{"key":3,"count":1e30},{"key":4,"count":2}]}})"
+      "\n"
+      R"({"type":"recording_footer","changes":-5})"
+      "\n");
+  const RunReport report = build_report(in, "out_of_range.jsonl");
+  using Points = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+  ASSERT_EQ(report.telemetry.size(), 1u);
+  EXPECT_EQ(report.telemetry[0].name, "rss_bytes");
+  EXPECT_EQ(report.telemetry[0].points, (Points{{0, 10}}));
+
+  ASSERT_EQ(report.progress.size(), 1u);
+  EXPECT_EQ(report.progress[0].done, 0u);
+  EXPECT_EQ(report.progress[0].total, 0u);
+  ASSERT_EQ(report.progress_series.size(), 1u);
+  EXPECT_EQ(report.progress_series[0].points, (Points{{0, 0}}));
+
+  EXPECT_EQ(report.critical_path_events, 0u);
+  ASSERT_EQ(report.quantiles.size(), 1u);
+  EXPECT_EQ(report.quantiles[0].count, 0u);
+  EXPECT_EQ(report.quantiles[0].sum, 0u);
+  ASSERT_EQ(report.topk.size(), 1u);
+  const auto entries = report.topk[0].second.top();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].key, 4u);
+  EXPECT_EQ(entries[0].count, 2u);
+  EXPECT_EQ(report.recording_changes, 0u);
 }
 
 TEST(ReportSeries, DecimationIsBoundedAndDeterministic) {

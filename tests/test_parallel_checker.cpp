@@ -267,36 +267,7 @@ TEST(ParallelChecker, StateCapAdmitsExactlyTheConfiguredMaximum) {
   }
 }
 
-// --- Satellite 2: independent heartbeat cadences ----------------------
-
-TEST(ParallelChecker, CountHeartbeatsDoNotResetTheTimeCadence) {
-  // Fake clock: steady expansion emits a count beat every 10 expansions
-  // (well inside the 100 ms interval). The historical code re-armed the
-  // time clock on every count beat, so the time cadence never fired;
-  // the fix keeps the cadences independent.
-  HeartbeatCadence cadence(/*every=*/10, /*interval_ms=*/100);
-  std::size_t time_beats = 0;
-  std::uint64_t now_ms = 0;
-  for (std::uint64_t expanded = 1; expanded <= 1000; ++expanded) {
-    now_ms += 1;  // 1 ms per expansion -> count beat every 10 ms
-    ASSERT_EQ(cadence.count_due(expanded), expanded % 10 == 0);
-    if (cadence.time_due(now_ms)) {
-      ++time_beats;
-    }
-  }
-  // 1000 ms of fake time at a 100 ms interval: 10 time beats (t = 100,
-  // 200, ..., 1000) even though 100 count beats fired in between.
-  EXPECT_EQ(time_beats, 10u);
-}
-
-TEST(ParallelChecker, TimeCadenceAdvancesOnlyWhenItFires) {
-  HeartbeatCadence cadence(/*every=*/0, /*interval_ms=*/50);
-  EXPECT_FALSE(cadence.count_due(50));  // count cadence disabled
-  EXPECT_FALSE(cadence.time_due(49));
-  EXPECT_TRUE(cadence.time_due(50));
-  EXPECT_FALSE(cadence.time_due(99));  // re-armed at 50, due again at 100
-  EXPECT_TRUE(cadence.time_due(100));
-}
+// --- Satellite 2: heartbeats -----------------------------------------
 
 TEST(ParallelChecker, HeartbeatEventsMatchAcrossThreadWidths) {
   const spp::Instance inst = spp::bad_gadget();

@@ -1,15 +1,13 @@
 // Pinned sim outputs. Three sim runs pin SimResult::to_json() (by FNV-1a
 // digest) and the engine-side values around it: the channel high-water
-// marks, the trace's change count and the observability bytes charged
-// with obs_memory attached. The values were taken from the full-network
-// implementation (a channel scan per step for occupancy and for the sim's
-// sends, a full assignment copy per trace entry); the step-local code must
-// reproduce them byte for byte.
+// marks and the trace's change count. The values were taken from the
+// full-network implementation (a channel scan per step for occupancy and
+// for the sim's sends, a full assignment copy per trace entry); the
+// step-local code must reproduce them byte for byte.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "obs/resource.hpp"
 #include "scenario/fault.hpp"
 #include "sim/sim_runner.hpp"
 #include "spp/gadgets.hpp"
@@ -31,23 +29,13 @@ struct Pinned {
   std::size_t max_channel_occupancy;
   std::size_t peak_channel_bytes;
   std::size_t trace_changes;
-  std::uint64_t obs_bytes;
 };
-
-SimResult run_tracked(const spp::Instance& inst, SimOptions opts) {
-  obs::TrackedBytes tracked;
-  opts.obs_memory = &tracked;
-  SimResult result = run(inst, opts);
-  EXPECT_EQ(tracked.current(), result.run.obs_bytes);
-  return result;
-}
 
 void expect_pinned(const SimResult& result, const Pinned& pinned) {
   EXPECT_EQ(fnv1a(result.to_json()), pinned.json_fnv1a) << result.to_json();
   EXPECT_EQ(result.run.max_channel_occupancy, pinned.max_channel_occupancy);
   EXPECT_EQ(result.run.peak_channel_bytes, pinned.peak_channel_bytes);
   EXPECT_EQ(result.run.trace.change_count(), pinned.trace_changes);
-  EXPECT_EQ(result.run.obs_bytes, pinned.obs_bytes);
 }
 
 // (a) REA to convergence on a seeded 100-node shortest-path instance.
@@ -64,10 +52,10 @@ TEST(SimGolden, ReaRandomShortest100) {
   opts.link.latency_us = 2000;
   opts.seed = 3;
   opts.max_steps = 1000000;
-  const SimResult result = run_tracked(inst, opts);
+  const SimResult result = run(inst, opts);
   EXPECT_EQ(result.run.outcome, engine::Outcome::kConverged);
   EXPECT_EQ(result.run.steps, 367u);
-  expect_pinned(result, {8857109960670948798ULL, 2, 6208, 112, 1169752});
+  expect_pinned(result, {8857109960670948798ULL, 2, 6208, 112});
 }
 
 // (b) Lossy U1O on BAD-GADGET, cut by max_steps right after a step that
@@ -85,12 +73,12 @@ TEST(SimGolden, LossyU1oBadGadgetStopsWithUnsampledSends) {
   opts.link.loss_prob = 0.05;
   opts.seed = 1;
   opts.max_steps = 201;
-  const SimResult result = run_tracked(inst, opts);
+  const SimResult result = run(inst, opts);
   EXPECT_EQ(result.run.outcome, engine::Outcome::kExhausted);
   EXPECT_EQ(result.run.steps, 201u);
   EXPECT_EQ(result.run.messages_sent, 201u);
   EXPECT_EQ(result.latency_samples, 198u);
-  expect_pinned(result, {1582125025435469983ULL, 2, 516, 66, 26060});
+  expect_pinned(result, {1582125025435469983ULL, 2, 516, 66});
 }
 
 // (c) R1O on GOOD-GADGET with a link flap, a session reset and two node
@@ -107,12 +95,12 @@ TEST(SimGolden, ReliableGoodGadgetWithReboots) {
   opts.model = model::Model::parse("R1O");
   opts.seed = 5;
   opts.faults = &faults;
-  const SimResult result = run_tracked(inst, opts);
+  const SimResult result = run(inst, opts);
   EXPECT_EQ(result.run.outcome, engine::Outcome::kConverged);
   EXPECT_EQ(result.faults_applied, 5u);
   EXPECT_EQ(result.last_flap_us[inst.graph().node("2")],
             result.last_change_us);
-  expect_pinned(result, {14964413008418797059ULL, 2, 360, 8, 5524});
+  expect_pinned(result, {14964413008418797059ULL, 2, 360, 8});
 }
 
 }  // namespace
