@@ -4,6 +4,8 @@
 #include <chrono>
 #include <deque>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -19,17 +21,88 @@ namespace commroute::checker {
 
 namespace {
 
+/// What the fairness test reads off an edge. One exploration sees few
+/// distinct labels (30 on BAD-GADGET R1O), so edges share them through
+/// a LabelTable.
 struct EdgeLabel {
-  StateId to = 0;
   std::uint64_t attempts = 0;    ///< bitmask of channels in X
   std::uint64_t drops = 0;       ///< channels with >= 1 dropped message
   std::uint64_t deliveries = 0;  ///< channels with a delivered message
   bool pi_changed = false;
-  bool pruned = false;           ///< removed by the drop-fairness fixpoint
-  std::uint32_t step_index = 0;  ///< into the witness step store
+  bool operator==(const EdgeLabel&) const = default;
 };
 
-constexpr std::uint32_t kNoStep = static_cast<std::uint32_t>(-1);
+/// One transition: its target and its label's id in the LabelTable.
+struct Edge {
+  StateId to = 0;
+  std::uint32_t label = 0;
+};
+static_assert(sizeof(Edge) == 8, "an edge is two words");
+
+/// The distinct labels of one exploration, each stored once. Filled on
+/// the merge thread. intern() looks a label up before it inserts, so a
+/// label already present costs a probe and no allocation.
+class LabelTable {
+ public:
+  std::uint32_t intern(const EdgeLabel& label) {
+    if ((labels_.size() + 1) * 2 > slots_.size()) {
+      grow();
+    }
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t at = hash(label) & mask;; at = (at + 1) & mask) {
+      const std::uint32_t id = slots_[at];
+      if (id == kEmptySlot) {
+        slots_[at] = static_cast<std::uint32_t>(labels_.size());
+        labels_.push_back(label);
+        return slots_[at];
+      }
+      if (labels_[id] == label) {
+        return id;
+      }
+    }
+  }
+
+  const EdgeLabel& operator[](std::uint32_t id) const { return labels_[id]; }
+
+ private:
+  static constexpr std::uint32_t kEmptySlot = static_cast<std::uint32_t>(-1);
+
+  static std::size_t hash(const EdgeLabel& label) {
+    std::uint64_t h = (label.attempts * 0x9e3779b97f4a7c15ULL) ^
+                      (label.drops * 0xbf58476d1ce4e5b9ULL) ^
+                      (label.deliveries * 0x94d049bb133111ebULL) ^
+                      static_cast<std::uint64_t>(label.pi_changed);
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+
+  /// Doubles the slots (at least 16) and re-probes every label.
+  void grow() {
+    slots_.assign(std::max<std::size_t>(16, slots_.size() * 2), kEmptySlot);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::uint32_t id = 0; id < labels_.size(); ++id) {
+      std::size_t at = hash(labels_[id]) & mask;
+      while (slots_[at] != kEmptySlot) {
+        at = (at + 1) & mask;
+      }
+      slots_[at] = id;
+    }
+  }
+
+  std::vector<EdgeLabel> labels_;
+  std::vector<std::uint32_t> slots_;  ///< label ids; power of two
+};
+
+/// "No edge" (the initial state has no discovery edge); edge indices
+/// stay below it.
+constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
+
+/// The tracked-bytes model charges the unit costs of the graph layout
+/// this one replaced, so `tracked_peak_bytes`, `checker_summary`, matrix
+/// CSVs and memory-limit truncation points did not move with it: a
+/// 40-byte label per edge (target, three channel masks, two flags and a
+/// witness index) and a 24-byte vector per state's edge row.
+constexpr std::size_t kLegacyEdgeBytes = 40;
+constexpr std::size_t kLegacyRowBytes = 24;
 
 /// final_of sentinels for provisional ids (see ShardedStateSet): not yet
 /// renumbered, and refused at the state cap (so every later edge to the
@@ -51,21 +124,41 @@ std::size_t step_bytes(const model::ActivationStep& step) {
 
 /// The merged configuration graph. State payloads are owned by the
 /// ShardedStateSet's shard arenas (stable addresses); `states` maps the
-/// canonical, enumeration-ordered StateId to its payload.
+/// canonical, enumeration-ordered StateId to its payload. A state's
+/// out-edges are one slice of the flat `edges` array, named by its row:
+/// the merge appends all of a state's edges when it merges that state's
+/// expansion, whatever order the searcher expands states in.
 struct ConfigGraph {
+  struct Row {
+    std::uint32_t first = 0;  ///< index of the first out-edge
+    std::uint32_t count = 0;  ///< 0 until expanded, and for terminal states
+  };
+
   std::vector<const engine::NetworkState*> states;
-  std::vector<std::vector<EdgeLabel>> edges;
+  std::vector<Row> rows;
+  std::vector<Edge> edges;
+  LabelTable labels;
 
   const engine::NetworkState& state(StateId id) const {
     return *states[id];
   }
+  /// Indices into `edges` of v's out-edges.
+  auto out(StateId v) const {
+    return std::views::iota(rows[v].first, rows[v].first + rows[v].count);
+  }
+};
+
+/// A successor as expansion found it: its provisional id and its label,
+/// which the merge renumbers and interns.
+struct Successor {
+  std::uint32_t to = 0;
+  EdgeLabel label;
 };
 
 /// Expansion output for one batch slot. Caller-indexed storage: the
 /// merge reads slots in batch order, so nothing downstream depends on
-/// which worker ran which slot. `successors[k].to` holds the provisional
-/// id until the merge renumbers it; `steps` parallels `successors` and
-/// is filled only under extract_witness. Slots are reused across waves
+/// which worker ran which slot. `steps` parallels `successors` and is
+/// filled only under extract_witness. Slots are reused across waves
 /// (reset(), not destruction) so the per-successor buffers keep their
 /// capacity instead of churning the allocator once per expansion.
 struct ExpandResult {
@@ -73,7 +166,7 @@ struct ExpandResult {
   trace::Assignment assignment;    ///< when quiescent
   std::size_t raw_successors = 0;  ///< steps enumerated, pre-filter
   std::size_t bound_skipped = 0;   ///< successors beyond the channel bound
-  std::vector<EdgeLabel> successors;
+  std::vector<Successor> successors;
   std::vector<model::ActivationStep> steps;
 
   void reset() {
@@ -85,46 +178,65 @@ struct ExpandResult {
   }
 };
 
-/// Tarjan SCC over the configuration graph, honoring edge pruning.
-std::vector<std::vector<StateId>> tarjan_sccs(const ConfigGraph& graph) {
+/// Strongly connected components in one flat array: SCC s is
+/// members[begin[s], begin[s + 1]), its states in Tarjan pop order.
+struct Sccs {
+  std::vector<StateId> members;
+  std::vector<std::uint32_t> begin{0};
+  std::vector<std::uint32_t> scc_of;  ///< state -> its SCC
+
+  std::uint32_t count() const {
+    return static_cast<std::uint32_t>(begin.size() - 1);
+  }
+  std::span<const StateId> operator[](std::uint32_t s) const {
+    return std::span<const StateId>(members).subspan(
+        begin[s], begin[s + 1] - begin[s]);
+  }
+};
+
+/// Tarjan SCC over the configuration graph, skipping pruned edges.
+Sccs tarjan_sccs(const ConfigGraph& graph, const std::vector<bool>& pruned) {
   const std::size_t n = graph.states.size();
   std::vector<std::uint32_t> indices(n, 0), lowlink(n, 0);
   std::vector<bool> on_stack(n, false), visited(n, false);
   std::vector<StateId> stack;
-  std::vector<std::vector<StateId>> sccs;
+  Sccs sccs;
+  sccs.members.reserve(n);
+  sccs.scc_of.resize(n);
   std::uint32_t counter = 1;
 
   struct Frame {
     StateId v;
-    std::size_t next_edge = 0;
+    std::uint32_t next_edge;
+    std::uint32_t end_edge;
+  };
+  std::vector<Frame> frames;
+  const auto visit = [&](StateId w) {
+    visited[w] = true;
+    indices[w] = lowlink[w] = counter++;
+    stack.push_back(w);
+    on_stack[w] = true;
+    const ConfigGraph::Row& row = graph.rows[w];
+    frames.push_back(Frame{w, row.first, row.first + row.count});
   };
 
   for (StateId root = 0; root < n; ++root) {
     if (visited[root]) {
       continue;
     }
-    std::vector<Frame> frames{Frame{root}};
-    visited[root] = true;
-    indices[root] = lowlink[root] = counter++;
-    stack.push_back(root);
-    on_stack[root] = true;
-
+    visit(root);
     while (!frames.empty()) {
       Frame& frame = frames.back();
       const StateId v = frame.v;
       bool descended = false;
-      while (frame.next_edge < graph.edges[v].size()) {
-        const EdgeLabel& e = graph.edges[v][frame.next_edge++];
-        if (e.pruned) {
+      while (frame.next_edge < frame.end_edge) {
+        const std::uint32_t e = frame.next_edge++;
+        if (pruned[e]) {
           continue;
         }
-        const StateId w = e.to;
+        const StateId w = graph.edges[e].to;
         if (!visited[w]) {
-          visited[w] = true;
-          indices[w] = lowlink[w] = counter++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back(Frame{w});
+          visit(w);  // invalidates `frame`
           descended = true;
           break;
         }
@@ -137,17 +249,17 @@ std::vector<std::vector<StateId>> tarjan_sccs(const ConfigGraph& graph) {
       }
       // v finished.
       if (lowlink[v] == indices[v]) {
-        std::vector<StateId> scc;
         for (;;) {
           const StateId w = stack.back();
           stack.pop_back();
           on_stack[w] = false;
-          scc.push_back(w);
+          sccs.scc_of[w] = sccs.count();
+          sccs.members.push_back(w);
           if (w == v) {
             break;
           }
         }
-        sccs.push_back(std::move(scc));
+        sccs.begin.push_back(static_cast<std::uint32_t>(sccs.members.size()));
       }
       frames.pop_back();
       if (!frames.empty()) {
@@ -229,12 +341,11 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
     }
   };
   // Per interned state: the payload's own footprint plus its seen-set
-  // slot, its pointer in the id table, and its (empty) adjacency row.
+  // slot, its pointer in the id table, and its edge row.
   const auto interned_state_bytes = [&](StateId id) {
     return graph.state(id).estimated_bytes() +
            ShardedStateSet::slot_bytes() +
-           sizeof(const engine::NetworkState*) +
-           sizeof(std::vector<EdgeLabel>);
+           sizeof(const engine::NetworkState*) + kLegacyRowBytes;
   };
 
   SuccessorOptions successor_options;
@@ -260,7 +371,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   {
     const auto interned = seen.intern(engine::NetworkState(instance));
     graph.states.push_back(interned.state);
-    graph.edges.emplace_back();
+    graph.rows.emplace_back();
     final_of.push_back(0);
     payload_of.push_back(interned.state);
     track_add(interned_state_bytes(0));
@@ -271,11 +382,12 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
   std::vector<trace::Assignment> quiescent;
 
-  // Witness bookkeeping (only populated when requested).
+  // Witness bookkeeping (only populated when requested). The step
+  // store parallels graph.edges, so an edge's index is its step's index.
   std::vector<model::ActivationStep> step_store;
   struct Parent {
     StateId from = 0;
-    std::uint32_t step_index = kNoStep;
+    std::uint32_t edge = kNoEdge;  ///< the discovery edge
   };
   std::vector<Parent> parents(1);  // parents[initial] unused
 
@@ -388,8 +500,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           for (const engine::NodeEffect& node : effect.nodes) {
             label.pi_changed |= node.changed;
           }
-          label.to = seen.intern(next).id;  // provisional
-          out.successors.push_back(label);
+          out.successors.push_back(
+              Successor{seen.intern(next).id /* provisional */, label});
           if (options.extract_witness) {
             out.steps.push_back(step);
           }
@@ -509,10 +621,12 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         result.bound_skipped_expansions += out.bound_skipped;
       }
 
-      graph.edges[id].reserve(out.successors.size());
+      CR_REQUIRE(graph.edges.size() + out.successors.size() < kNoEdge,
+                 "explorer supports fewer than 2^32 - 1 transitions");
+      graph.rows[id].first = static_cast<std::uint32_t>(graph.edges.size());
       for (std::size_t k = 0; k < out.successors.size(); ++k) {
-        EdgeLabel& rec = out.successors[k];
-        const std::uint32_t prov = rec.to;
+        const Successor& succ = out.successors[k];
+        const std::uint32_t prov = succ.to;
         if (final_of[prov] == kDroppedAtCap) {
           continue;
         }
@@ -533,32 +647,34 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         } else {
           to = final_of[prov];
         }
-        rec.to = to;
+        const auto edge = static_cast<std::uint32_t>(graph.edges.size());
         if (options.extract_witness) {
-          rec.step_index = static_cast<std::uint32_t>(step_store.size());
           step_store.push_back(std::move(out.steps[k]));
           track_add(step_bytes(step_store.back()));
         }
-        graph.edges[id].push_back(rec);
-        track_add(sizeof(EdgeLabel));
+        graph.edges.push_back(Edge{to, graph.labels.intern(succ.label)});
+        track_add(kLegacyEdgeBytes);
         ++result.transitions;
         if (is_new) {
           graph.states.push_back(payload_of[prov]);
-          graph.edges.emplace_back();
+          graph.rows.emplace_back();
           track_add(interned_state_bytes(to));
-          searcher->push(to, SearcherPush{rec.pi_changed, discovery_seq++});
+          searcher->push(to,
+                         SearcherPush{succ.label.pi_changed, discovery_seq++});
           track_add(sizeof(StateId));
           if (pending() > result.frontier_peak) {
             result.frontier_peak = pending();
           }
           if (options.extract_witness) {
-            parents.push_back(Parent{id, rec.step_index});
+            parents.push_back(Parent{id, edge});
             track_add(sizeof(Parent));
           }
         } else {
           ++result.dedup_hits;
         }
       }
+      graph.rows[id].count = static_cast<std::uint32_t>(graph.edges.size()) -
+                             graph.rows[id].first;
       if (result.state_cap_hit) {
         // Stop after the slot that filled the cap (its remaining
         // successors above already resolved against the full graph);
@@ -614,56 +730,52 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           ? ~0ULL
           : ((1ULL << instance.graph().channel_count()) - 1);
 
+  std::vector<bool> pruned(graph.edges.size(), false);
   for (;;) {
     ++result.scc_prune_passes;
     obs::Span pass_span = options.obs.span("checker.scc_prune_pass");
-    const auto sccs = tarjan_sccs(graph);
-    std::vector<std::uint32_t> scc_of(graph.states.size(), 0);
-    for (std::uint32_t s = 0; s < sccs.size(); ++s) {
-      for (const StateId v : sccs[s]) {
-        scc_of[v] = s;
+    const Sccs sccs = tarjan_sccs(graph, pruned);
+    const std::vector<std::uint32_t>& scc_of = sccs.scc_of;
+    // Calls visit(v, edge index, label) for every unpruned edge that
+    // stays inside its SCC.
+    const auto for_each_internal = [&](const auto& visit) {
+      for (StateId v = 0; v < graph.states.size(); ++v) {
+        for (const std::uint32_t e : graph.out(v)) {
+          if (!pruned[e] && scc_of[v] == scc_of[graph.edges[e].to]) {
+            visit(v, e, graph.labels[graph.edges[e].label]);
+          }
+        }
       }
-    }
+    };
 
     // Delivery-channel mask per SCC (internal edges only).
-    std::vector<std::uint64_t> scc_deliveries(sccs.size(), 0);
-    for (StateId v = 0; v < graph.states.size(); ++v) {
-      for (const EdgeLabel& e : graph.edges[v]) {
-        if (!e.pruned && scc_of[v] == scc_of[e.to]) {
-          scc_deliveries[scc_of[v]] |= e.deliveries;
-        }
-      }
-    }
+    std::vector<std::uint64_t> scc_deliveries(sccs.count(), 0);
+    for_each_internal(
+        [&](StateId v, std::uint32_t, const EdgeLabel& label) {
+          scc_deliveries[scc_of[v]] |= label.deliveries;
+        });
 
     bool pruned_any = false;
-    for (StateId v = 0; v < graph.states.size(); ++v) {
-      for (EdgeLabel& e : graph.edges[v]) {
-        if (e.pruned || scc_of[v] != scc_of[e.to]) {
-          continue;
-        }
-        if ((e.drops & ~scc_deliveries[scc_of[v]]) != 0) {
-          e.pruned = true;
-          pruned_any = true;
-        }
-      }
-    }
+    for_each_internal(
+        [&](StateId v, std::uint32_t e, const EdgeLabel& label) {
+          if ((label.drops & ~scc_deliveries[scc_of[v]]) != 0) {
+            pruned[e] = true;
+            pruned_any = true;
+          }
+        });
 
     if (!pruned_any) {
       // Final verdict on this SCC decomposition.
-      std::vector<std::uint64_t> scc_attempts(sccs.size(), 0);
-      std::vector<bool> scc_pi_change(sccs.size(), false);
-      for (StateId v = 0; v < graph.states.size(); ++v) {
-        for (const EdgeLabel& e : graph.edges[v]) {
-          if (e.pruned || scc_of[v] != scc_of[e.to]) {
-            continue;
-          }
-          scc_attempts[scc_of[v]] |= e.attempts;
-          scc_pi_change[scc_of[v]] =
-              scc_pi_change[scc_of[v]] || e.pi_changed;
-        }
-      }
+      std::vector<std::uint64_t> scc_attempts(sccs.count(), 0);
+      std::vector<bool> scc_pi_change(sccs.count(), false);
+      for_each_internal(
+          [&](StateId v, std::uint32_t, const EdgeLabel& label) {
+            scc_attempts[scc_of[v]] |= label.attempts;
+            scc_pi_change[scc_of[v]] =
+                scc_pi_change[scc_of[v]] || label.pi_changed;
+          });
       std::optional<std::uint32_t> witness_scc;
-      for (std::uint32_t s = 0; s < sccs.size(); ++s) {
+      for (std::uint32_t s = 0; s < sccs.count(); ++s) {
         if (scc_pi_change[s] && scc_attempts[s] == all_channels) {
           result.oscillation_found = true;
           if (sccs[s].size() > result.witness_scc_size) {
@@ -678,34 +790,34 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         // witness SCC (so the loop attempts every channel, performs a
         // delivery for every dropping channel, and changes assignments),
         // plus the BFS prefix from the initial state to the tour start.
-        const std::vector<StateId>& members = sccs[*witness_scc];
-        std::vector<bool> in_scc(graph.states.size(), false);
-        for (const StateId v : members) {
-          in_scc[v] = true;
-        }
-        const auto internal = [&](StateId v, const EdgeLabel& e) {
-          return !e.pruned && in_scc[v] && in_scc[e.to];
+        // Tours and paths are lists of edge indices, which are also
+        // step_store indices.
+        const std::span<const StateId> members = sccs[*witness_scc];
+        const auto internal = [&](StateId v, std::uint32_t e) {
+          return !pruned[e] && scc_of[v] == *witness_scc &&
+                 scc_of[graph.edges[e].to] == *witness_scc;
         };
 
-        // BFS path (as step indices) between two SCC states.
+        // BFS path (as edge indices) between two SCC states.
         const auto scc_path = [&](StateId from,
                                   StateId to) -> std::vector<std::uint32_t> {
           if (from == to) {
             return {};
           }
           std::unordered_map<StateId, std::pair<StateId, std::uint32_t>>
-              via;  // state -> (predecessor, step index)
+              via;  // state -> (predecessor, edge)
           std::deque<StateId> bfs{from};
-          via.emplace(from, std::make_pair(from, kNoStep));
+          via.emplace(from, std::make_pair(from, kNoEdge));
           while (!bfs.empty()) {
             const StateId at = bfs.front();
             bfs.pop_front();
-            for (const EdgeLabel& e : graph.edges[at]) {
-              if (!internal(at, e) || via.count(e.to) != 0) {
+            for (const std::uint32_t e : graph.out(at)) {
+              const StateId next = graph.edges[e].to;
+              if (!internal(at, e) || via.count(next) != 0) {
                 continue;
               }
-              via.emplace(e.to, std::make_pair(at, e.step_index));
-              if (e.to == to) {
+              via.emplace(next, std::make_pair(at, e));
+              if (next == to) {
                 std::vector<std::uint32_t> rev;
                 for (StateId w = to; w != from;
                      w = via.at(w).first) {
@@ -713,7 +825,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                 }
                 return {rev.rbegin(), rev.rend()};
               }
-              bfs.push_back(e.to);
+              bfs.push_back(next);
             }
           }
           throw InvariantError("SCC is not strongly connected");
@@ -723,15 +835,15 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         StateId cursor = start;
         std::vector<std::uint32_t> tour;
         for (const StateId v : members) {
-          for (const EdgeLabel& e : graph.edges[v]) {
+          for (const std::uint32_t e : graph.out(v)) {
             if (!internal(v, e)) {
               continue;
             }
             for (const std::uint32_t idx : scc_path(cursor, v)) {
               tour.push_back(idx);
             }
-            tour.push_back(e.step_index);
-            cursor = e.to;
+            tour.push_back(e);
+            cursor = graph.edges[e].to;
           }
         }
         for (const std::uint32_t idx : scc_path(cursor, start)) {
@@ -741,7 +853,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         std::vector<std::uint32_t> prefix_rev;
         for (StateId at = start; at != 0;
              at = parents[at].from) {
-          prefix_rev.push_back(parents[at].step_index);
+          prefix_rev.push_back(parents[at].edge);
         }
         for (auto it = prefix_rev.rbegin(); it != prefix_rev.rend();
              ++it) {

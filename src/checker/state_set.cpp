@@ -1,5 +1,6 @@
 #include "checker/state_set.hpp"
 
+#include <type_traits>
 #include <utility>
 
 namespace commroute::checker {
@@ -74,7 +75,11 @@ ShardedStateSet::InternResult ShardedStateSet::intern_impl(State&& state) {
 
   const std::uint32_t id =
       next_id_.fetch_add(1, std::memory_order_relaxed);
-  shard.owned.push_back(std::forward<State>(state));
+  if constexpr (std::is_lvalue_reference_v<State>) {
+    shard.owned.emplace_back(state, 0);  // stored, never stepped: no slack
+  } else {
+    shard.owned.push_back(std::move(state));
+  }
   const engine::NetworkState* payload = &shard.owned.back();
   shard.slots[at] = Slot{h, payload, id};
   shard.fresh.emplace_back(id, payload);

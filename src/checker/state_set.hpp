@@ -41,7 +41,9 @@ class ShardedStateSet {
 
   /// Looks `state` up; absent, copies it into shard storage under a
   /// fresh provisional id, so a caller can reuse one scratch state for
-  /// every successor and pay for a copy only when the state is new.
+  /// every successor and pay for a copy only when the state is new. The
+  /// copy reserves no spare words (NetworkState(state, 0)): a stored
+  /// state is never stepped.
   /// Thread-safe; locks exactly one shard.
   InternResult intern(const engine::NetworkState& state);
 

@@ -57,12 +57,16 @@ NetworkState::NetworkState(const spp::Instance& instance)
 }
 
 NetworkState::NetworkState(const NetworkState& other)
+    : NetworkState(other, kCopySlack) {}
+
+NetworkState::NetworkState(const NetworkState& other,
+                           std::size_t spare_words)
     : instance_(other.instance_),
       nodes_(other.nodes_),
       channels_(other.channels_),
       tags_(other.tags_),
       queued_nodes_(other.queued_nodes_) {
-  words_.reserve(other.words_.size() + kCopySlack);
+  words_.reserve(other.words_.size() + spare_words);
   words_.assign(other.words_.begin(), other.words_.end());
 }
 

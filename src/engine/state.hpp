@@ -115,6 +115,9 @@ class NetworkState {
   /// Copies keep a little spare capacity, so the messages one step
   /// announces usually fit without a second allocation.
   NetworkState(const NetworkState& other);
+  /// A copy with `spare_words` words of spare capacity: 0 for a state
+  /// that is stored, not stepped (the checker's seen-set).
+  NetworkState(const NetworkState& other, std::size_t spare_words);
   NetworkState& operator=(const NetworkState& other) = default;
   NetworkState(NetworkState&& other) noexcept = default;
   NetworkState& operator=(NetworkState&& other) noexcept = default;

@@ -101,12 +101,6 @@ std::uint64_t LogHistogram::quantile(double q) const {
   return max_;
 }
 
-std::uint64_t LogHistogram::estimated_bytes() const {
-  return static_cast<std::uint64_t>(buckets_.size()) *
-             (sizeof(std::uint32_t) + sizeof(std::uint64_t)) +
-         sizeof(LogHistogram);
-}
-
 std::string LogHistogram::to_json() const {
   JsonWriter w;
   w.field("precision_bits", static_cast<std::uint64_t>(bits_))
@@ -193,12 +187,6 @@ std::vector<TopK::Entry> TopK::top() const {
     return a.key < b.key;
   });
   return out;
-}
-
-std::uint64_t TopK::estimated_bytes() const {
-  return static_cast<std::uint64_t>(entries_.size()) *
-             (sizeof(std::uint64_t) + sizeof(Cell)) +
-         sizeof(TopK);
 }
 
 std::string TopK::to_json() const {

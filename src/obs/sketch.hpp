@@ -63,10 +63,6 @@ class LogHistogram {
     return 1.0 / static_cast<double>(1u << bits_);
   }
 
-  /// Deterministic byte estimate (bucket count x entry size; never
-  /// capacity, never the allocator) — safe in byte-compared outputs.
-  std::uint64_t estimated_bytes() const;
-
   /// {"precision_bits":..,"count":..,"sum":..,"min":..,"max":..,
   ///  "p50":..,"p90":..,"p99":..,"buckets":..} — a pure function of the
   /// observed multiset, hence byte-identical across shard counts.
@@ -114,9 +110,6 @@ class TopK {
   std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return entries_.size(); }
   std::uint64_t total_weight() const { return total_; }
-
-  /// Deterministic byte estimate (entry count x entry size).
-  std::uint64_t estimated_bytes() const;
 
   /// {"capacity":..,"total":..,"entries":[{"key":..,"count":..,
   ///  "error":..},...]} in top() order.

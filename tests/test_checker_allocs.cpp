@@ -2,10 +2,12 @@
 //
 // An expansion reuses one step enumerator, one successor state and one
 // step effect per worker and copies a successor into the seen-set only
-// when it is new, so the allocations that remain scale with the states
-// found (their payload, adjacency row and amortized table growth), not
-// with the transitions tried. This suite replaces the global operator
-// new/delete to count them, which is why it is its own executable.
+// when it is new. Edges go into one flat array and SCCs into one flat
+// member array, so the allocations that remain scale with the states
+// found (their payload copy and amortized array growth), not with the
+// transitions tried or the SCCs formed. This suite replaces the global
+// operator new/delete to count them, which is why it is its own
+// executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,7 +98,9 @@ TEST(CheckerAllocs, BadGadgetR1OAtBound2) {
   const spp::Instance inst = spp::bad_gadget();
   const Counted counted = explore_counted(inst, Model::parse("R1O"), 2);
   EXPECT_EQ(counted.result.states, 38720u);
-  EXPECT_LE(counted.per_state(), 8.0)
+  // About 1.2: one payload copy per state plus amortized growth. A
+  // heap row per state (edges or SCC members) would take it past 2.
+  EXPECT_LE(counted.per_state(), 2.0)
       << counted.allocations << " allocations for "
       << counted.result.states << " states";
 }

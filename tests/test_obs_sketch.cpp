@@ -181,28 +181,5 @@ TEST(TopK, HeavyHittersSurviveEvictionWithBoundedError) {
   EXPECT_LE(entries[1].count - entries[1].error, 200u);
 }
 
-TEST(Sketch, EstimatedBytesAreElementDerived) {
-  LogHistogram hist(5);
-  TopK top(8);
-  const std::uint64_t hist_empty = hist.estimated_bytes();
-  const std::uint64_t top_empty = top.estimated_bytes();
-  for (std::uint64_t v = 1; v <= 100; ++v) {
-    hist.observe(v * 17);
-    top.add(v % 5);
-  }
-  EXPECT_GT(hist.estimated_bytes(), hist_empty);
-  EXPECT_GT(top.estimated_bytes(), top_empty);
-  // Re-observing existing buckets/keys must not grow the estimate:
-  // bytes track element counts, not stream length.
-  const std::uint64_t hist_now = hist.estimated_bytes();
-  const std::uint64_t top_now = top.estimated_bytes();
-  for (std::uint64_t v = 1; v <= 100; ++v) {
-    hist.observe(v * 17);
-    top.add(v % 5);
-  }
-  EXPECT_EQ(hist.estimated_bytes(), hist_now);
-  EXPECT_EQ(top.estimated_bytes(), top_now);
-}
-
 }  // namespace
 }  // namespace commroute::obs

@@ -6,7 +6,7 @@
 //    all 24 models on BAD-GADGET and GOOD-GADGET;
 //  * alternative searchers (DFS / random / priority) reach the same
 //    verdict on exhaustive explorations, though they number states
-//    differently;
+//    differently, and their witnesses replay to an oscillation;
 //  * the state cap admits exactly <= N states at intern time (the
 //    historical per-pop check admitted N+branching);
 //  * count- and time-based heartbeat cadences are independent (the
@@ -117,6 +117,25 @@ TEST(ParallelChecker, AllModelsByteIdenticalAcrossThreadWidths) {
   }
 }
 
+/// Plays `r`'s witness (the prefix, then the cycle forever) through
+/// ScriptedScheduler and engine::run, with every step checked against
+/// `m`, and returns the run's outcome.
+engine::Outcome replay_witness(const spp::Instance& inst, const Model& m,
+                               const ExploreResult& r) {
+  model::ActivationScript script = r.witness_prefix;
+  const std::size_t loop_from = script.size();
+  script.insert(script.end(), r.witness_cycle.begin(),
+                r.witness_cycle.end());
+  for (const auto& step : script) {
+    model::require_step_allowed(m, inst, step);
+  }
+  engine::ScriptedScheduler sched(script, loop_from);
+  return engine::run(
+             inst, sched,
+             {.max_steps = 10 * script.size() + 100, .enforce_model = m})
+      .outcome;
+}
+
 TEST(ParallelChecker, WitnessFromEightThreadsReplays) {
   const spp::Instance inst = spp::bad_gadget();
   // REO finds the oscillation within a small graph at this bound (the
@@ -131,19 +150,7 @@ TEST(ParallelChecker, WitnessFromEightThreadsReplays) {
   const ExploreResult r = explore(inst, m, options);
   ASSERT_TRUE(r.oscillation_found);
   ASSERT_FALSE(r.witness_cycle.empty());
-
-  model::ActivationScript script = r.witness_prefix;
-  const std::size_t loop_from = script.size();
-  script.insert(script.end(), r.witness_cycle.begin(),
-                r.witness_cycle.end());
-  for (const auto& step : script) {
-    model::require_step_allowed(m, inst, step);
-  }
-  engine::ScriptedScheduler sched(script, loop_from);
-  const auto run = engine::run(
-      inst, sched,
-      {.max_steps = 10 * script.size() + 100, .enforce_model = m});
-  EXPECT_EQ(run.outcome, engine::Outcome::kOscillating);
+  EXPECT_EQ(replay_witness(inst, m, r), engine::Outcome::kOscillating);
 }
 
 TEST(ParallelChecker, ZeroThreadsMeansHardwareConcurrency) {
@@ -188,6 +195,7 @@ TEST(ParallelChecker, MetricsShardsMergeToSerialTotals) {
 
 TEST(ParallelChecker, AllSearchersAgreeOnExhaustiveVerdicts) {
   const spp::Instance inst = spp::disagree();
+  std::size_t replayed = 0;
   for (const char* name : {"R1O", "REA", "RMS"}) {
     const Model m = Model::parse(name);
     const ExploreResult bfs =
@@ -206,6 +214,7 @@ TEST(ParallelChecker, AllSearchersAgreeOnExhaustiveVerdicts) {
         options.threads = threads;
         options.searcher = kind;
         options.searcher_seed = 42;
+        options.extract_witness = true;
         const ExploreResult r = explore(inst, m, options);
         // The explored *set* is order-independent when exhaustive, so
         // every strategy proves the same theorem with the same counts —
@@ -218,9 +227,20 @@ TEST(ParallelChecker, AllSearchersAgreeOnExhaustiveVerdicts) {
             << name << " " << to_string(kind) << " t=" << threads;
         EXPECT_EQ(r.transitions, bfs.transitions)
             << name << " " << to_string(kind) << " t=" << threads;
+        // These searchers expand states out of id order, so each
+        // state's out-edges land in the graph out of id order too: the
+        // witness must still name real steps that replay.
+        if (r.oscillation_found) {
+          ++replayed;
+          EXPECT_EQ(replay_witness(inst, m, r),
+                    engine::Outcome::kOscillating)
+              << name << " " << to_string(kind) << " t=" << threads;
+        }
       }
     }
   }
+  // R1O and RMS oscillate on DISAGREE: 2 models x 3 searchers x 2 widths.
+  EXPECT_EQ(replayed, 12u);
 }
 
 TEST(ParallelChecker, RandomSearcherIsDeterministicPerSeed) {
