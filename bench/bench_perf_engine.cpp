@@ -1,12 +1,16 @@
 // Engine microbenchmarks (google-benchmark): step execution throughput
-// per model, state hashing/copying, and scheduler overhead. Run with
-// --json to write BENCH_perf_engine.json instead of the console table.
+// per model, state hashing/copying, queue push/pop and per-step cost by
+// network size, and scheduler overhead. Run with --json to write
+// BENCH_perf_engine.json instead of the console table.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "bench_gbench.hpp"
 #include "engine/executor.hpp"
 #include "engine/runner.hpp"
 #include "engine/scheduler.hpp"
+#include "engine/state.hpp"
 #include "spp/gadgets.hpp"
 #include "spp/random_gen.hpp"
 
@@ -107,7 +111,33 @@ BENCHMARK(BM_EngineRunBySize)
     ->Arg(100)
     ->Arg(400)
     ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
+
+// Queue-offset upkeep as the network grows: a push then a pop on each
+// channel of a fixed seeded sequence, on the sized instance's initial
+// state, so the arena holds only the pushed message (items = pairs).
+void BM_ChannelPushPop(benchmark::State& state) {
+  const spp::Instance& inst =
+      bench::sized_instance(static_cast<std::size_t>(state.range(0)));
+  Rng rng(9);
+  std::vector<ChannelIdx> sequence(4096);
+  for (ChannelIdx& c : sequence) {
+    c = static_cast<ChannelIdx>(rng.below(inst.graph().channel_count()));
+  }
+  engine::NetworkState net(inst);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    engine::MutableChannel queue = net.mutable_channel(sequence[i]);
+    queue.push(spp::kEpsilonPath);
+    queue.pop_front();
+    benchmark::ClobberMemory();
+    i = (i + 1) % sequence.size();
+  }
+  benchmark::DoNotOptimize(net);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ChannelPushPop)->Arg(100)->Arg(400)->Arg(1600)->Arg(6400);
 
 void BM_SchedulerNext(benchmark::State& state) {
   const spp::Instance& inst = medium_instance();

@@ -121,6 +121,7 @@ BENCHMARK(BM_SimRunBySize)
     ->Arg(100)
     ->Arg(400)
     ->Arg(1600)
+    ->Arg(6400)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

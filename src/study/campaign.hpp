@@ -25,7 +25,7 @@ enum class SchedulerKind {
   kRoundRobin,   ///< deterministic fair
   kRandomFair,   ///< randomized fair (per-seed)
   kSynchronous,  ///< U = V rounds (Def. 2.6 kEvery)
-  kEventDriven,  ///< serve queued messages FIFO-ish (wxO models only)
+  kEventDriven,  ///< serve queued messages FIFO-ish (w1O, wMO models)
   kSim,          ///< virtual-time DES (sim::run; sweeps sim_points)
 };
 
@@ -187,9 +187,10 @@ struct CampaignResult {
 std::uint64_t derive_row_seed(std::string_view instance, int model_index,
                               SchedulerKind scheduler, std::uint64_t seed);
 
-/// Runs the full cross product. Event-driven configurations are skipped
-/// for non-wxO models (they cannot be legal there); synchronous and
-/// round-robin run once per configuration regardless of `seeds`.
+/// Runs the full cross product. Event-driven configurations run only
+/// under the w1O and wMO models (one f = 1 read per step is not legal
+/// elsewhere); synchronous and round-robin run once per configuration
+/// regardless of `seeds`.
 ///
 /// Rows are enumerated up front in deterministic (instance, model,
 /// scheduler, seed) order and executed across `spec.threads` workers.

@@ -41,6 +41,20 @@ TEST(Campaign, EventDrivenOnlyForMessagePassingModels) {
   EXPECT_EQ(result.rows[0].outcome, engine::Outcome::kConverged);
 }
 
+TEST(Campaign, EventDrivenSkipsEveryNeighborModels) {
+  // One f = 1 read of one channel is not an REO step at d, which has two
+  // in-channels; the campaign skips the configuration instead of failing.
+  const spp::Instance dis = spp::disagree();
+  CampaignSpec spec;
+  spec.instances = {{"DISAGREE", &dis}};
+  spec.models = {Model::parse("REO"), Model::parse("UMO")};
+  spec.schedulers = {SchedulerKind::kEventDriven};
+  spec.max_steps = 2000;
+  const CampaignResult result = run_campaign(spec);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].model, Model::parse("UMO"));
+}
+
 TEST(Campaign, SynchronousRevealsTheA6Oscillation) {
   const spp::Instance dis = spp::disagree();
   CampaignSpec spec;
