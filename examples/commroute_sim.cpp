@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
                                     .sweep_period = 16});
       options.enforce_model = m;
     } else if (scheduler_name == "event") {
-      if (!m.is_message_passing()) {
-        std::cerr << "the event-driven scheduler needs a wxO model\n";
+      if (!engine::EventDrivenScheduler::allows(m)) {
+        std::cerr << "the event-driven scheduler needs a w1O or wMO model\n";
         return 2;
       }
       scheduler = std::make_unique<engine::EventDrivenScheduler>(instance);

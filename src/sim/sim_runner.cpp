@@ -1,7 +1,6 @@
 #include "sim/sim_runner.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 #include <span>
 #include <utility>
@@ -37,7 +36,7 @@ void check_link(const LinkModel& link, const model::Model& m,
 
 /// engine::Scheduler that derives steps from the discrete-event loop.
 ///
-/// The scheduler keeps every engine channel's queue as a deque of arrival
+/// The scheduler keeps every engine channel's queue as a vector of arrival
 /// times. on_step() queues the channels the executed step sent on; the
 /// next next() call stamps each send with the step's virtual time plus a
 /// sampled link latency (clamped to preserve FIFO order). Sampling waits
@@ -312,7 +311,7 @@ class SimScheduler final : public engine::Scheduler,
           down_until_[c] = down_up_time_[index];
           if (opts_->model.reliable()) {
             // Unarrived in-flight messages wait out the outage; the
-            // clamp is monotone, so FIFO order inside the deque holds.
+            // clamp is monotone, so FIFO order inside the queue holds.
             for (InFlight& m : inflight_[c]) {
               if (m.arrival > clock_.now() && m.arrival < down_until_[c]) {
                 m.arrival = down_until_[c];
@@ -395,7 +394,7 @@ class SimScheduler final : public engine::Scheduler,
 
   /// Messages of channel c that have virtually arrived by now.
   std::size_t arrived_count(ChannelIdx c) const {
-    const std::deque<InFlight>& q = inflight_[c];
+    const std::vector<InFlight>& q = inflight_[c];
     std::size_t n = 0;
     while (n < q.size() && q[n].arrival <= clock_.now()) {
       ++n;
@@ -426,7 +425,7 @@ class SimScheduler final : public engine::Scheduler,
   /// ready (given its present contents): the front arrival for O / F,
   /// the back arrival for A.
   VirtualTime ready_at(ChannelIdx c) const {
-    const std::deque<InFlight>& q = inflight_[c];
+    const std::vector<InFlight>& q = inflight_[c];
     CR_ASSERT(!q.empty(), "ready_at on ready channel");
     return opts_->model.messages == model::MessageMode::kAll
                ? q.back().arrival
@@ -575,7 +574,7 @@ class SimScheduler final : public engine::Scheduler,
   std::vector<LinkModel> links_;
   std::vector<LossProcess> loss_;
   std::vector<NodeModel> nodes_;
-  std::vector<std::deque<InFlight>> inflight_;
+  std::vector<std::vector<InFlight>> inflight_;
   std::vector<ChannelIdx> unsampled_;  ///< sends awaiting sample_sends()
   std::vector<VirtualTime> last_arrival_;
   std::vector<char> activation_scheduled_;
