@@ -38,9 +38,7 @@ void BM_ExploreBadGadget(benchmark::State& state) {
   std::size_t states_explored = 0;
   std::uint64_t tracked_peak = 0;
   for (auto _ : state) {
-    obs::TrackedBytes memory;
-    const auto r = checker::explore(
-        inst, m, {.max_channel_length = 3, .memory = &memory});
+    const auto r = checker::explore(inst, m, {.max_channel_length = 3});
     states_explored = r.states;
     tracked_peak = r.tracked_peak_bytes;
     benchmark::DoNotOptimize(r);
@@ -173,18 +171,17 @@ BENCHMARK(BM_TargetedSearchA3Exact)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Memory metrics ride along in JSON mode: one instrumented BAD-GADGET
-  // exploration stamps its tracked-byte peak and bytes/state into the
-  // document (deterministic — byte estimates come from element counts),
-  // where bench-diff's --mem-threshold gate picks them up.
+  // Memory metrics ride along in JSON mode: one BAD-GADGET exploration
+  // stamps its tracked-byte peak and bytes/state into the document
+  // (deterministic — byte estimates come from element counts), where
+  // bench-diff's --mem-threshold gate picks them up.
   return commroute::bench::gbench_main(
       "perf_checker", "states_per_sec", argc, argv,
       [](commroute::bench::BenchJson& out) {
         using namespace commroute;
-        obs::TrackedBytes memory;
-        const auto r = checker::explore(
-            spp::bad_gadget(), model::Model::parse("R1O"),
-            {.max_channel_length = 3, .memory = &memory});
+        const auto r = checker::explore(spp::bad_gadget(),
+                                        model::Model::parse("R1O"),
+                                        {.max_channel_length = 3});
         out.set_metric("tracked_peak_bytes",
                        static_cast<double>(r.tracked_peak_bytes));
         out.set_metric("checker_bytes_per_state", r.bytes_per_state());

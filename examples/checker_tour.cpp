@@ -11,6 +11,7 @@
 //                                        # bytes at any width)
 //   $ ./checker_tour --searcher dfs      # bfs | dfs | random | priority
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "checker/explorer.hpp"
@@ -20,10 +21,13 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/meta.hpp"
 #include "spp/builder.hpp"
+#include "support/error.hpp"
 #include "trace/recording.hpp"
 #include "trace/recording_io.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace commroute;
   using model::Model;
 
@@ -137,4 +141,18 @@ int main(int argc, char** argv) {
               << " — open in chrome://tracing or ui.perfetto.dev\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const commroute::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::logic_error& e) {  // std::stoul: not a number
+    std::cerr << "error: malformed number (" << e.what() << ")\n";
+    return 1;
+  }
 }

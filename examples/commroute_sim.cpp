@@ -33,6 +33,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "engine/runner.hpp"
 #include "model/script_io.hpp"
@@ -221,6 +222,9 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::logic_error& e) {  // std::stoull / std::stod
+    std::cerr << "error: malformed number (" << e.what() << ")\n";
     return 1;
   }
 }

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -235,6 +236,9 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (const std::logic_error& e) {  // std::stoull / std::stod
+    std::cerr << "error: malformed number (" << e.what() << ")\n";
     return 1;
   }
 }

@@ -7,9 +7,12 @@
 #include "realization/closure.hpp"
 #include "realization/compose.hpp"
 #include "realization/matrix.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace commroute;
   using model::Model;
   using namespace commroute::realization;
@@ -66,4 +69,15 @@ int main(int argc, char** argv) {
   std::cout << "Usage: realization_explorer <MODEL-A> <MODEL-B> for the "
                "derivation chain of a single cell (e.g. REA R1O).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const commroute::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -76,10 +76,6 @@ NodeId AsTopology::as(const std::string& name) const {
   return it->second;
 }
 
-bool AsTopology::has_as(const std::string& name) const {
-  return by_name_.count(name) != 0;
-}
-
 const std::vector<NodeId>& AsTopology::neighbors(NodeId v) const {
   CR_REQUIRE(v < adjacency_.size(), "AS out of range");
   return adjacency_[v];

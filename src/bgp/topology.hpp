@@ -52,7 +52,6 @@ class AsTopology {
   std::size_t as_count() const { return names_.size(); }
   const std::string& name(NodeId v) const;
   NodeId as(const std::string& name) const;
-  bool has_as(const std::string& name) const;
 
   const std::vector<NodeId>& neighbors(NodeId v) const;
 

@@ -320,26 +320,11 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
   // Tracked-bytes accounting over the explorer's own structures (interned
   // states, edges, frontier, hash index, witness store). Always on — it
-  // is a handful of integer adds per expansion — and mirrored into
-  // options.memory when attached so a TelemetrySampler can watch the
-  // exploration live. All accounting happens on the merge path, in
-  // enumeration order, so the peak is identical at any thread count.
+  // is a handful of integer adds per expansion. All accounting happens
+  // on the merge path, in enumeration order, so the peak is identical at
+  // any thread count. Only a pop releases bytes, and it comes before the
+  // merged state's adds, so the peak is taken after each merge.
   std::uint64_t tracked_bytes = 0;
-  const auto track_add = [&](std::size_t n) {
-    tracked_bytes += n;
-    if (tracked_bytes > result.tracked_peak_bytes) {
-      result.tracked_peak_bytes = tracked_bytes;
-    }
-    if (options.memory != nullptr) {
-      options.memory->add(n);
-    }
-  };
-  const auto track_sub = [&](std::size_t n) {
-    tracked_bytes -= n;
-    if (options.memory != nullptr) {
-      options.memory->sub(n);
-    }
-  };
   // Per interned state: the payload's own footprint plus its seen-set
   // slot, its pointer in the id table, and its edge row.
   const auto interned_state_bytes = [&](StateId id) {
@@ -351,7 +336,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   SuccessorOptions successor_options;
   successor_options.max_steps_per_state = options.max_steps_per_state;
   std::uint64_t expanded = 0;
-  std::uint64_t discovery_seq = 0;
   /// Expansions grouped under one checker.frontier_batch span, so a
   /// Perfetto view shows exploration progress at a glance without
   /// per-state slices drowning the track.
@@ -365,8 +349,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   // after every wave.
   std::vector<const engine::NetworkState*> payload_of;
 
-  std::unique_ptr<Searcher> searcher =
-      make_searcher(options.searcher, options.searcher_seed);
+  Frontier frontier(options.searcher, options.searcher_seed);
 
   {
     const auto interned = seen.intern(engine::NetworkState(instance));
@@ -374,9 +357,9 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
     graph.rows.emplace_back();
     final_of.push_back(0);
     payload_of.push_back(interned.state);
-    track_add(interned_state_bytes(0));
-    searcher->push(0, SearcherPush{false, discovery_seq++});
-    track_add(sizeof(StateId));
+    frontier.push(0, false);
+    tracked_bytes += interned_state_bytes(0) + sizeof(StateId);
+    result.tracked_peak_bytes = tracked_bytes;
   }
   result.frontier_peak = 1;
 
@@ -443,7 +426,7 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                                   obs::exponential_buckets(1, 4.0, 10))
           : nullptr;
 
-  // One wave: select a batch in searcher order, expand it (in parallel
+  // One wave: pop a batch in frontier order, expand it (in parallel
   // when threads > 1), then merge the caller-indexed results in batch
   // order. Any batch partitioning of a FIFO frontier yields the same
   // merge order, which is why the BFS searcher is byte-deterministic
@@ -516,9 +499,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
   };
 
   bool truncated = false;
-  std::uint64_t unmerged = 0;  ///< batch slots abandoned by a memory break
   std::uint64_t batch_span_epoch = static_cast<std::uint64_t>(-1);
-  while (!searcher->empty() && !truncated) {
+  while (!frontier.empty() && !truncated) {
     // Rotate the batch span before expanding so expand spans nest under
     // it: serial ones as the innermost span open on this thread, worker
     // ones through their collectors' root parent.
@@ -533,8 +515,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       }
     }
     batch.clear();
-    while (batch.size() < batch_target && !searcher->empty()) {
-      batch.push_back(searcher->select());
+    while (batch.size() < batch_target && !frontier.empty()) {
+      batch.push_back(frontier.pop());
     }
     if (results.size() < batch.size()) {
       results.resize(batch.size());
@@ -571,25 +553,17 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           tracked_bytes > options.memory_limit_bytes) {
         result.memory_limit_hit = true;
         result.memory_limit = options.memory_limit_bytes;
-        unmerged = batch.size() - i;
         truncated = true;
         break;
       }
       const StateId id = batch[i];
-      track_sub(sizeof(StateId));
+      tracked_bytes -= sizeof(StateId);
       ++expanded;
-      // States selected into this batch but not yet merged still count
-      // as frontier: the pending total is partition-independent.
+      // States popped into this batch but not yet merged still count as
+      // frontier: the pending total is partition-independent.
       const auto pending = [&] {
-        return searcher->size() + (batch.size() - 1 - i);
+        return frontier.size() + (batch.size() - 1 - i);
       };
-      if (options.progress != nullptr && expanded % 256 == 0) {
-        // done/total both move: total = expanded + frontier is the best
-        // lower bound on the reachable-state count known so far, so the
-        // fraction converges to 1 exactly as the frontier drains.
-        options.progress->update(expanded, expanded + pending());
-        options.progress->set_detail(pending());
-      }
       if (options.obs.sink != nullptr && options.heartbeat_every > 0 &&
           expanded % options.heartbeat_every == 0) {
         const auto elapsed_ms =
@@ -650,29 +624,29 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         const auto edge = static_cast<std::uint32_t>(graph.edges.size());
         if (options.extract_witness) {
           step_store.push_back(std::move(out.steps[k]));
-          track_add(step_bytes(step_store.back()));
+          tracked_bytes += step_bytes(step_store.back());
         }
         graph.edges.push_back(Edge{to, graph.labels.intern(succ.label)});
-        track_add(kLegacyEdgeBytes);
+        tracked_bytes += kLegacyEdgeBytes;
         ++result.transitions;
         if (is_new) {
           graph.states.push_back(payload_of[prov]);
           graph.rows.emplace_back();
-          track_add(interned_state_bytes(to));
-          searcher->push(to,
-                         SearcherPush{succ.label.pi_changed, discovery_seq++});
-          track_add(sizeof(StateId));
+          frontier.push(to, succ.label.pi_changed);
+          tracked_bytes += interned_state_bytes(to) + sizeof(StateId);
           if (pending() > result.frontier_peak) {
             result.frontier_peak = pending();
           }
           if (options.extract_witness) {
             parents.push_back(Parent{id, edge});
-            track_add(sizeof(Parent));
+            tracked_bytes += sizeof(Parent);
           }
         } else {
           ++result.dedup_hits;
         }
       }
+      result.tracked_peak_bytes =
+          std::max(result.tracked_peak_bytes, tracked_bytes);
       graph.rows[id].count = static_cast<std::uint32_t>(graph.edges.size()) -
                              graph.rows[id].first;
       if (result.state_cap_hit) {
@@ -680,7 +654,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
         // successors above already resolved against the full graph);
         // later slots in this wave are discarded exactly as if they
         // were never expanded, matching the serial stop point.
-        unmerged = batch.size() - 1 - i;
         truncated = true;
         break;
       }
@@ -699,24 +672,6 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
     }
   }
 
-  if (options.progress != nullptr) {
-    const std::uint64_t remaining = searcher->size() + unmerged;
-    if (truncated) {
-      // Exploration is over even though the frontier is not empty:
-      // report done == total so the fraction lands on 1.0 instead of
-      // freezing short with a dangling ETA, and carry the truncation
-      // reason in the detail label.
-      const std::uint64_t total = expanded + remaining;
-      options.progress->update(total, total);
-      options.progress->set_detail(remaining);
-      options.progress->set_detail_label(
-          result.memory_limit_hit ? "truncated:memory_limit"
-                                  : "truncated:state_cap");
-    } else {
-      options.progress->update(expanded, expanded + remaining);
-      options.progress->set_detail(remaining);
-    }
-  }
   result.states = graph.states.size();
   result.quiescent_assignments = std::move(quiescent);
   result.exhaustive = !result.state_cap_hit && !result.channel_bound_hit &&

@@ -31,8 +31,6 @@
 #include "model/activation.hpp"
 #include "model/model.hpp"
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
-#include "obs/resource.hpp"
 #include "trace/trace.hpp"
 
 namespace commroute::checker {
@@ -48,10 +46,6 @@ struct ExploreOptions {
   /// so a limited run truncates at the same state on every machine —
   /// unlike an RSS-based limit would.
   std::size_t memory_limit_bytes = 0;
-  /// Optional live mirror of the tracked-bytes accounting, for a
-  /// TelemetrySampler to watch mid-exploration. The peak also lands in
-  /// ExploreResult::tracked_peak_bytes either way.
-  obs::TrackedBytes* memory = nullptr;
   /// Also construct a replayable witness for a found oscillation: a
   /// prefix script from the initial state to the witness SCC plus a cycle
   /// script touring every edge of the SCC (hence covering all channel
@@ -70,14 +64,6 @@ struct ExploreOptions {
   /// states (0 disables heartbeats). Every heartbeat carries
   /// `elapsed_ms`.
   std::size_t heartbeat_every = 10000;
-  /// Online progress: when attached, explore() reports done=expanded /
-  /// total=expanded+frontier (the coverage lower bound; total grows as
-  /// states are discovered) plus the live frontier size as detail,
-  /// every 256 expansions. On truncation (state cap / memory limit) the
-  /// final update reports done == total — exploration is over even
-  /// though the frontier is non-empty — and rewrites the detail label
-  /// to "truncated:<reason>". Borrowed; must outlive the call.
-  obs::ProgressEstimator* progress = nullptr;
   /// Worker threads for frontier expansion: 1 (default) explores on the
   /// calling thread; 0 means hardware_concurrency(). Exploration is
   /// wave-based — a batch of frontier states expands in parallel against
@@ -88,10 +74,9 @@ struct ExploreOptions {
   /// and the `checker_summary` event (minus `wall_us`) are
   /// byte-identical at any thread count, truncated or not.
   std::size_t threads = 1;
-  /// Frontier-order strategy (see checker/searcher.hpp). Non-BFS
-  /// searchers reach the same verdict on exhaustive explorations but
-  /// number states differently (and explore a different prefix under a
-  /// cap); kBFS is byte-compatible with the historical explorer.
+  /// Frontier order (see checker/searcher.hpp). Non-BFS searchers
+  /// reach the same verdict on exhaustive explorations but number
+  /// states differently (and explore a different prefix under a cap).
   SearcherKind searcher = SearcherKind::kBFS;
   /// Seed for SearcherKind::kRandomPath.
   std::uint64_t searcher_seed = 0;

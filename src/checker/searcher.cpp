@@ -1,5 +1,7 @@
 #include "checker/searcher.hpp"
 
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace commroute::checker {
@@ -35,67 +37,35 @@ SearcherKind parse_searcher_kind(std::string_view name) {
                           "' (expected bfs, dfs, random, or priority)");
 }
 
-void BFSSearcher::push(StateId id, const SearcherPush&) {
-  states_.push_back(id);
-}
+Frontier::Frontier(SearcherKind kind, std::uint64_t seed)
+    : kind_(kind), rng_(seed) {}
 
-StateId BFSSearcher::select() {
-  CR_REQUIRE(!states_.empty(), "select() on an empty searcher");
-  const StateId id = states_.front();
-  states_.pop_front();
-  return id;
-}
-
-void DFSSearcher::push(StateId id, const SearcherPush&) {
-  states_.push_back(id);
-}
-
-StateId DFSSearcher::select() {
-  CR_REQUIRE(!states_.empty(), "select() on an empty searcher");
-  const StateId id = states_.back();
-  states_.pop_back();
-  return id;
-}
-
-void RandomPathSearcher::push(StateId id, const SearcherPush&) {
-  states_.push_back(id);
-}
-
-StateId RandomPathSearcher::select() {
-  CR_REQUIRE(!states_.empty(), "select() on an empty searcher");
-  const std::size_t pick =
-      static_cast<std::size_t>(rng_.below(states_.size()));
-  std::swap(states_[pick], states_.back());
-  const StateId id = states_.back();
-  states_.pop_back();
-  return id;
-}
-
-void PriorityFlapSearcher::push(StateId id, const SearcherPush& info) {
-  (info.pi_changed ? flapped_ : quiet_).push_back(id);
-}
-
-StateId PriorityFlapSearcher::select() {
-  std::vector<StateId>& from = flapped_.empty() ? quiet_ : flapped_;
-  CR_REQUIRE(!from.empty(), "select() on an empty searcher");
-  const StateId id = from.back();
-  from.pop_back();
-  return id;
-}
-
-std::unique_ptr<Searcher> make_searcher(SearcherKind kind,
-                                        std::uint64_t seed) {
-  switch (kind) {
-    case SearcherKind::kBFS:
-      return std::make_unique<BFSSearcher>();
-    case SearcherKind::kDFS:
-      return std::make_unique<DFSSearcher>();
-    case SearcherKind::kRandomPath:
-      return std::make_unique<RandomPathSearcher>(seed);
-    case SearcherKind::kPriorityFlap:
-      return std::make_unique<PriorityFlapSearcher>();
+void Frontier::push(StateId id, bool pi_changed) {
+  if (kind_ == SearcherKind::kPriorityFlap && pi_changed) {
+    flapped_.push_back(id);
+  } else {
+    states_.push_back(id);
   }
-  throw InvariantError("unknown SearcherKind");
+}
+
+StateId Frontier::pop() {
+  CR_REQUIRE(!empty(), "pop() on an empty frontier");
+  StateId id;
+  if (!flapped_.empty()) {
+    id = flapped_.back();
+    flapped_.pop_back();
+  } else if (kind_ == SearcherKind::kBFS) {
+    id = states_.front();
+    states_.pop_front();
+  } else {
+    if (kind_ == SearcherKind::kRandomPath) {
+      const auto pick = static_cast<std::size_t>(rng_.below(states_.size()));
+      std::swap(states_[pick], states_.back());
+    }
+    id = states_.back();
+    states_.pop_back();
+  }
+  return id;
 }
 
 }  // namespace commroute::checker

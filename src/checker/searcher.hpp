@@ -1,14 +1,12 @@
-// Pluggable exploration-order strategies for checker::explore, mirroring
-// the KLEE Searcher/BFSSearcher design: the explorer owns the frontier
-// through this interface and asks it which interned state to expand
-// next. Strategies only affect the *order* states are expanded in — on
-// an exhaustive exploration the reachable set, transition count, and
-// verdict are order-independent, so every searcher proves the same
-// theorem; on truncated runs the searcher decides which corner of the
-// state space the budget is spent on.
+// Exploration order for checker::explore: the explorer keeps its
+// frontier of interned states in a Frontier, which hands them out in the
+// order the configured SearcherKind picks. The kind only affects the
+// *order* states are expanded in — on an exhaustive exploration the
+// reachable set, transition count, and verdict are order-independent,
+// so every kind proves the same theorem; on truncated runs the kind
+// decides which corner of the state space the budget is spent on.
 //
-//   * kBFS       — FIFO; the historical default, byte-compatible with
-//                  the pre-Searcher explorer at any thread width.
+//   * kBFS       — FIFO; the default, byte-identical at any thread width.
 //   * kDFS       — LIFO; drills deep executions first, useful when long
 //                  schedules reach the interesting SCC sooner.
 //   * kRandomPath — uniformly random frontier pick from a seeded Rng;
@@ -21,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,104 +43,35 @@ std::string to_string(SearcherKind kind);
 /// throws PreconditionError on anything else.
 SearcherKind parse_searcher_kind(std::string_view name);
 
-/// What the explorer knows about a state at enqueue time; strategies
-/// use it to order the frontier.
-struct SearcherPush {
-  /// The discovery edge changed some node's path assignment — the state
-  /// is "recently flapped".
-  bool pi_changed = false;
-  /// Global discovery sequence number (monotone across the run).
-  std::uint64_t order = 0;
-};
-
-/// Frontier-order strategy. Single-threaded contract: the explorer
-/// calls push()/select() only from the merge phase (never from expansion
-/// workers), so implementations need no locking.
-class Searcher {
+/// The states waiting for expansion. pop() takes:
+///   * kBFS: the oldest state;
+///   * kDFS: the newest state;
+///   * kRandomPath: a state drawn with rng.below(size()), swapped to the
+///     back and removed from there;
+///   * kPriorityFlap: the newest state pushed with `pi_changed`, else the
+///     newest of the rest.
+/// Single-threaded: the explorer pushes and pops only on its merge
+/// thread.
+class Frontier {
  public:
-  virtual ~Searcher() = default;
+  /// `seed` feeds kRandomPath only.
+  Frontier(SearcherKind kind, std::uint64_t seed);
 
-  /// Enqueues a newly interned state.
-  virtual void push(StateId id, const SearcherPush& info) = 0;
+  /// Enqueues a newly interned state; `pi_changed` says its discovery
+  /// edge changed some node's path assignment.
+  void push(StateId id, bool pi_changed);
 
   /// Removes and returns the next state to expand. Requires !empty().
-  virtual StateId select() = 0;
+  StateId pop();
 
-  virtual bool empty() const = 0;
-
-  /// States currently queued.
-  virtual std::size_t size() const = 0;
-
-  virtual std::string name() const = 0;
-};
-
-/// FIFO frontier: classic breadth-first order.
-class BFSSearcher final : public Searcher {
- public:
-  void push(StateId id, const SearcherPush& info) override;
-  StateId select() override;
-  bool empty() const override { return states_.empty(); }
-  std::size_t size() const override { return states_.size(); }
-  std::string name() const override { return "bfs"; }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return states_.size() + flapped_.size(); }
 
  private:
-  std::deque<StateId> states_;
-};
-
-/// LIFO frontier: depth-first order.
-class DFSSearcher final : public Searcher {
- public:
-  void push(StateId id, const SearcherPush& info) override;
-  StateId select() override;
-  bool empty() const override { return states_.empty(); }
-  std::size_t size() const override { return states_.size(); }
-  std::string name() const override { return "dfs"; }
-
- private:
-  std::vector<StateId> states_;
-};
-
-/// Uniformly random frontier pick, deterministic per seed: select()
-/// swaps a random element to the back and pops it.
-class RandomPathSearcher final : public Searcher {
- public:
-  explicit RandomPathSearcher(std::uint64_t seed) : rng_(seed) {}
-
-  void push(StateId id, const SearcherPush& info) override;
-  StateId select() override;
-  bool empty() const override { return states_.empty(); }
-  std::size_t size() const override { return states_.size(); }
-  std::string name() const override { return "random"; }
-
- private:
+  SearcherKind kind_;
   Rng rng_;
-  std::vector<StateId> states_;
+  std::deque<StateId> states_;
+  std::vector<StateId> flapped_;  ///< kPriorityFlap's flapped states
 };
-
-/// Most-recently-flapped first: states whose discovery edge changed an
-/// assignment outrank quiet ones; within a class, higher discovery
-/// order (more recent) wins. Backed by two LIFO stacks rather than a
-/// heap — push order *is* discovery order, so recency never needs a
-/// comparator.
-class PriorityFlapSearcher final : public Searcher {
- public:
-  void push(StateId id, const SearcherPush& info) override;
-  StateId select() override;
-  bool empty() const override {
-    return flapped_.empty() && quiet_.empty();
-  }
-  std::size_t size() const override {
-    return flapped_.size() + quiet_.size();
-  }
-  std::string name() const override { return "priority"; }
-
- private:
-  std::vector<StateId> flapped_;
-  std::vector<StateId> quiet_;
-};
-
-/// Builds the strategy for `kind`; `seed` feeds kRandomPath only.
-std::unique_ptr<Searcher> make_searcher(SearcherKind kind,
-                                        std::uint64_t seed);
 
 }  // namespace commroute::checker

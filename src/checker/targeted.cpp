@@ -1,9 +1,11 @@
 #include "checker/targeted.hpp"
 
 #include <deque>
+#include <optional>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 
+#include "checker/state_set.hpp"
 #include "checker/successors.hpp"
 #include "engine/executor.hpp"
 #include "engine/runner.hpp"
@@ -47,64 +49,76 @@ RealizationSearchResult find_realization(
     return result;
   }
 
+  // A configuration is an interned state and the target position it has
+  // matched; the BFS expands configurations in the order they are
+  // discovered and reconstructs the witness through `parent`.
   struct Config {
-    engine::NetworkState state;
+    const engine::NetworkState* state;
     std::size_t pos;  ///< index of the last matched target element
     std::size_t parent;
     model::ActivationStep via;
   };
-
   std::vector<Config> configs;
-  std::unordered_map<std::size_t, std::vector<std::size_t>> visited;
   std::deque<std::size_t> frontier;
-
-  const auto config_key = [](const engine::NetworkState& s,
-                             std::size_t pos) {
-    std::size_t key = s.hash();
-    hash_combine_value(key, pos);
-    return key;
-  };
-
-  const auto intern = [&](engine::NetworkState s, std::size_t pos,
-                          std::size_t parent,
-                          const model::ActivationStep& via) -> bool {
-    const std::size_t key = config_key(s, pos);
-    for (const std::size_t id : visited[key]) {
-      if (configs[id].pos == pos && configs[id].state == s) {
-        return false;
-      }
+  // Each distinct state is stored once, whatever positions it is matched
+  // at; `seen` marks the (state id, position) pairs already queued.
+  ShardedStateSet states(1);
+  std::vector<std::pair<std::uint32_t, const engine::NetworkState*>> fresh;
+  std::vector<bool> seen;
+  const auto enqueue = [&](const ShardedStateSet::InternResult& interned,
+                           std::size_t pos, std::size_t parent,
+                           const model::ActivationStep& via) {
+    const std::size_t key = interned.id * target.size() + pos;
+    if (seen.size() <= key) {
+      seen.resize(states.size() * target.size(), false);
     }
-    configs.push_back(Config{std::move(s), pos, parent, via});
-    visited[key].push_back(configs.size() - 1);
+    if (seen[key]) {
+      return;
+    }
+    seen[key] = true;
+    configs.push_back(Config{interned.state, pos, parent, via});
     frontier.push_back(configs.size() - 1);
-    return true;
   };
 
-  SuccessorOptions successor_options;
-  successor_options.max_steps_per_state = options.max_steps_per_state;
+  // Expansion scratch, as in explore(): each successor is built in
+  // `next` and copied into `states` only when new.
+  StepEnumerator steps(m, SuccessorOptions{options.max_steps_per_state});
+  engine::NetworkState next(instance);
+  engine::StepEffect effect;
 
   bool truncated = false;
-  intern(std::move(initial), 0, static_cast<std::size_t>(-1), {});
+  enqueue(states.intern(std::move(initial)), 0, static_cast<std::size_t>(-1),
+          {});
 
-  while (!frontier.empty()) {
+  while (!frontier.empty() && !result.found) {
     if (configs.size() > options.max_configs) {
       truncated = true;
       break;
     }
     const std::size_t id = frontier.front();
     frontier.pop_front();
-
-    // Copy indices out: configs may reallocate as we intern successors.
+    // `configs` may reallocate as successors are queued; the interned
+    // state does not move.
+    const engine::NetworkState& state = *configs[id].state;
     const std::size_t pos = configs[id].pos;
-    const std::vector<model::ActivationStep> steps =
-        enumerate_steps(configs[id].state, m, successor_options);
 
-    for (const model::ActivationStep& step : steps) {
-      engine::NetworkState next = configs[id].state;
-      engine::execute_step(next, step);
-      if (next.max_channel_length() > options.max_channel_length) {
-        truncated = true;
-        continue;
+    // Once a witness is found the rest of the steps are skipped; the
+    // enumeration still runs to the end, so a state over
+    // max_steps_per_state throws whether or not a witness came first.
+    steps.for_each(state, [&](const model::ActivationStep& step) {
+      if (result.found) {
+        return;
+      }
+      next = state;
+      engine::execute_step(next, step, effect);
+      // Beyond the bound: prune. Only the channels this step sent on can
+      // be: `state` is within the bound, reads only shrink queues, and a
+      // step pushes at most once per channel, after its reads.
+      for (const engine::SentMessage& sent : effect.sent) {
+        if (next.channel(sent.channel).size() > options.max_channel_length) {
+          truncated = true;
+          return;
+        }
       }
       const trace::Assignment pi = next.assignments();
 
@@ -137,7 +151,7 @@ RealizationSearchResult find_realization(
         }
       }
       if (!next_pos.has_value()) {
-        continue;
+        return;
       }
 
       const bool accepted =
@@ -154,16 +168,18 @@ RealizationSearchResult find_realization(
           rev.push_back(configs[at].via);
         }
         result.witness.assign(rev.rbegin(), rev.rend());
-        result.configs_explored = configs.size();
-        result.exhaustive = true;
-        return result;
+        return;
       }
-      intern(std::move(next), *next_pos, id, step);
-    }
+      enqueue(states.intern(next), *next_pos, id, step);
+    });
+    // intern() already returned the new ids: empty the fresh list so it
+    // does not grow unread.
+    fresh.clear();
+    states.drain_fresh(fresh);
   }
 
   result.configs_explored = configs.size();
-  result.exhaustive = !truncated;
+  result.exhaustive = result.found || !truncated;
   return result;
 }
 

@@ -201,8 +201,8 @@ class NetworkState {
   /// path per pi/rho/export entry, a queue per channel; see kLegacy* in
   /// state.cpp). Element counts only, so any two runs interning the same
   /// state account the same bytes. Feeds the checker's tracked-bytes
-  /// accounting (obs::TrackedBytes); it does not mirror this object's
-  /// real layout.
+  /// account (ExploreResult::tracked_peak_bytes); it does not mirror
+  /// this object's real layout.
   std::size_t estimated_bytes() const;
 
   /// Defined between states of one instance.

@@ -5,12 +5,15 @@
 
 namespace commroute::obs {
 
-ProgressEstimator::ProgressEstimator(std::string name,
-                                     std::string detail_label,
-                                     double ewma_alpha)
-    : name_(std::move(name)),
-      detail_label_(std::move(detail_label)),
-      alpha_(ewma_alpha) {}
+namespace {
+
+/// Weight of the newest rate sample in the moving average.
+constexpr double kEwmaAlpha = 0.3;
+
+}  // namespace
+
+ProgressEstimator::ProgressEstimator(std::string name)
+    : name_(std::move(name)) {}
 
 void ProgressEstimator::update(std::uint64_t done, std::uint64_t total) {
   const auto now = std::chrono::steady_clock::now();
@@ -27,8 +30,8 @@ void ProgressEstimator::update(std::uint64_t done, std::uint64_t total) {
           static_cast<double>(done - last_done_) / dt;
       rate_per_sec_ = rate_per_sec_ == 0.0
                           ? instant
-                          : alpha_ * instant +
-                                (1.0 - alpha_) * rate_per_sec_;
+                          : kEwmaAlpha * instant +
+                                (1.0 - kEwmaAlpha) * rate_per_sec_;
       last_ = now;
       last_done_ = done;
     }
@@ -42,16 +45,6 @@ void ProgressEstimator::update(std::uint64_t done, std::uint64_t total) {
   ++updates_;
 }
 
-void ProgressEstimator::set_detail(std::uint64_t detail) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  detail_ = detail;
-}
-
-void ProgressEstimator::set_detail_label(std::string label) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  detail_label_ = std::move(label);
-}
-
 ProgressSnapshot ProgressEstimator::snapshot() const {
   const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -60,8 +53,6 @@ ProgressSnapshot ProgressEstimator::snapshot() const {
   snap.done = done_;
   snap.total = total_;
   snap.updates = updates_;
-  snap.detail = detail_;
-  snap.detail_label = detail_label_;
   snap.rate_per_sec = rate_per_sec_;
   if (total_ > 0) {
     snap.fraction = std::min(

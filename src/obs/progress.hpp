@@ -1,6 +1,5 @@
-// Online progress estimation for the long-running loops: the checker's
-// state-space exploration, engine runs against a step budget, and
-// campaign sweeps. An instrumented loop owns a ProgressEstimator and
+// Online progress estimation for long-running loops such as the campaign
+// sweep. An instrumented loop owns a ProgressEstimator and
 // calls update(done, total) as work completes; a TelemetrySampler
 // (obs/resource.hpp) registered via add_progress() reads snapshots on
 // its own thread and emits periodic "progress_snapshot" events with
@@ -27,8 +26,6 @@ struct ProgressSnapshot {
   std::uint64_t eta_ms = 0;      ///< remaining / rate, 0 when unknown
   std::uint64_t elapsed_ms = 0;  ///< since the first update()
   std::uint64_t updates = 0;     ///< update() calls so far
-  std::uint64_t detail = 0;      ///< caller-defined (see detail_label)
-  std::string detail_label;      ///< "" when the detail is unused
 };
 
 /// Thread-safe progress accumulator. One writer (the instrumented loop)
@@ -36,48 +33,29 @@ struct ProgressSnapshot {
 /// mutex-guarded and cheap enough for a per-batch cadence (the loops
 /// update every few hundred iterations, not per step).
 ///
-/// The rate is an exponentially weighted moving average of the
-/// instantaneous completion rate between updates, so the ETA adapts to
-/// frontier growth or slowdown instead of assuming a constant rate —
-/// for the checker this is the "frontier growth-rate fit": done =
-/// expanded states, total = expanded + current frontier, a moving
-/// coverage bound that converges on the true state count.
+/// The rate is an exponentially weighted moving average (weight 0.3 on
+/// the newest sample) of the instantaneous completion rate between
+/// updates, so the ETA adapts to a speed-up or slowdown instead of
+/// assuming a constant rate.
 class ProgressEstimator {
  public:
-  /// `detail_label` names the optional free detail counter (e.g.
-  /// "steps_since_change" for engine runs, "frontier" for the checker).
-  explicit ProgressEstimator(std::string name,
-                             std::string detail_label = "",
-                             double ewma_alpha = 0.3);
+  explicit ProgressEstimator(std::string name);
 
   const std::string& name() const { return name_; }
 
-  /// Records progress. `total` may move between calls (the checker's
-  /// coverage bound grows with the frontier). The first call starts the
-  /// elapsed clock.
+  /// Records progress. `total` may move between calls. The first call
+  /// starts the elapsed clock.
   void update(std::uint64_t done, std::uint64_t total);
-
-  /// Updates the free detail counter published with each snapshot.
-  void set_detail(std::uint64_t detail);
-
-  /// Rewrites the detail label mid-run. Loops that end early use this to
-  /// mark *why* — e.g. the checker sets "truncated:state_cap" when a cap
-  /// fires with a non-empty frontier, so a snapshot reader can tell a
-  /// finished-at-100% run from a truncated one.
-  void set_detail_label(std::string label);
 
   ProgressSnapshot snapshot() const;
 
  private:
   const std::string name_;
-  std::string detail_label_;
-  const double alpha_;
 
   mutable std::mutex mutex_;
   std::uint64_t done_ = 0;
   std::uint64_t total_ = 0;
   std::uint64_t updates_ = 0;
-  std::uint64_t detail_ = 0;
   double rate_per_sec_ = 0.0;
   std::chrono::steady_clock::time_point start_{};
   std::chrono::steady_clock::time_point last_{};

@@ -67,15 +67,6 @@ TelemetrySampler::TelemetrySampler(EventSink& sink, Options options)
 
 TelemetrySampler::~TelemetrySampler() { stop(); }
 
-void TelemetrySampler::add_bytes(std::string name,
-                                 const TrackedBytes* bytes) {
-  if (running()) {
-    throw std::logic_error(
-        "TelemetrySampler: register gauges before start()");
-  }
-  gauges_.emplace_back(std::move(name), bytes);
-}
-
 void TelemetrySampler::add_probe(std::string name,
                                  std::function<std::uint64_t()> probe) {
   if (running()) {
@@ -145,10 +136,6 @@ void TelemetrySampler::emit_snapshot() {
     event.field("rss_bytes", mem.rss_bytes);
     event.field("peak_rss_bytes", mem.peak_rss_bytes);
   }
-  for (const auto& [name, bytes] : gauges_) {
-    event.field(name, bytes->current());
-    event.field(name + "_peak", bytes->peak());
-  }
   for (const auto& [name, probe] : probes_) {
     event.field(name, probe());
   }
@@ -165,9 +152,6 @@ void TelemetrySampler::emit_snapshot() {
         .field("eta_ms", snap.eta_ms)
         .field("elapsed_ms", snap.elapsed_ms)
         .field("updates", snap.updates);
-    if (!snap.detail_label.empty()) {
-      progress.field(snap.detail_label, snap.detail);
-    }
     sink_->emit(progress);
   }
 }

@@ -1,24 +1,20 @@
 // Resource telemetry: the fourth observability pillar next to metrics,
-// events, and spans. Three pieces:
+// events, and spans. Two pieces:
 //
-//   * TrackedBytes — a relaxed-atomic byte counter with a high-watermark,
-//     threaded into the expensive data structures (checker seen-set,
-//     engine channels, sim event queue) so "how much memory does this
-//     exploration take" is a counter read, not a guess. Byte values are
-//     *estimates* derived from element counts and sizeof — deterministic
-//     across runs and thread counts (they use size(), never capacity(),
-//     and never the allocator), which is what lets byte metrics appear
-//     in byte-diffed CSV/JSON outputs.
 //   * ProcessMemory / read_process_memory() — the OS view: current and
 //     peak RSS from /proc/self/status (VmRSS/VmHWM) with a getrusage
 //     fallback. Inherently machine-dependent; quarantined to artifacts
 //     that already carry wall-clock values (BENCH_*.json metrics,
 //     telemetry snapshots).
 //   * TelemetrySampler — a background thread emitting periodic
-//     "telemetry_snapshot" JSONL events (RSS, registered TrackedBytes
-//     gauges, caller probes) to a *dedicated* sink. Off by default and
-//     never on the hot path: instrumented code updates the same
-//     TrackedBytes counters it would anyway; the sampler only reads.
+//     "telemetry_snapshot" JSONL events (RSS, caller probes) to a
+//     *dedicated* sink. Off by default and never on the hot path: the
+//     sampler only reads.
+//
+// The deterministic byte estimates (element counts times unit sizes,
+// never capacity() or the allocator) live with the structures they
+// describe: ExploreResult::tracked_peak_bytes, the engine's
+// peak_channel_bytes. Those may appear in byte-diffed CSV/JSON outputs.
 //
 // Determinism quarantine rule (same as wall_ms): snapshots carry
 // wall-clock and RSS values, so they must never be routed into an event
@@ -27,6 +23,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -39,42 +36,6 @@
 #include "obs/progress.hpp"
 
 namespace commroute::obs {
-
-/// A byte gauge with high-watermark semantics. Updates are relaxed
-/// atomics so a single writer (the instrumented loop) and concurrent
-/// readers (the sampler thread, end-of-run reporting) need no lock.
-/// Estimates only ever come from element counts, so two runs of the
-/// same workload report identical values.
-class TrackedBytes {
- public:
-  void add(std::uint64_t n) {
-    const std::uint64_t now =
-        current_.fetch_add(n, std::memory_order_relaxed) + n;
-    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak && !peak_.compare_exchange_weak(
-                             peak, now, std::memory_order_relaxed)) {
-    }
-  }
-  void sub(std::uint64_t n) {
-    current_.fetch_sub(n, std::memory_order_relaxed);
-  }
-
-  std::uint64_t current() const {
-    return current_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t peak() const {
-    return peak_.load(std::memory_order_relaxed);
-  }
-
-  void reset() {
-    current_.store(0, std::memory_order_relaxed);
-    peak_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> current_{0};
-  std::atomic<std::uint64_t> peak_{0};
-};
 
 /// Process-level memory as the OS accounts it, in bytes. Zero fields
 /// mean "unavailable on this platform" (both sources are Linux-shaped;
@@ -90,9 +51,8 @@ ProcessMemory read_process_memory();
 
 /// Background sampler: every `interval_ms` it emits one
 /// "telemetry_snapshot" event carrying a monotone `seq`, `elapsed_ms`
-/// since start(), process RSS (when enabled), every registered
-/// TrackedBytes gauge (as `<name>` / `<name>_peak`), and every probe
-/// (as `<name>`). One snapshot is emitted immediately on start(), so
+/// since start(), process RSS (when enabled), and every probe (as
+/// `<name>`). One snapshot is emitted immediately on start(), so
 /// even sub-interval runs produce at least one sample.
 ///
 /// Registration must finish before start() (enforced); probes run on
@@ -113,10 +73,6 @@ class TelemetrySampler {
   TelemetrySampler& operator=(const TelemetrySampler&) = delete;
   /// Stops the sampler thread if still running.
   ~TelemetrySampler();
-
-  /// Adds a TrackedBytes gauge to every snapshot. The counter is
-  /// borrowed and must outlive the sampler. Must precede start().
-  void add_bytes(std::string name, const TrackedBytes* bytes);
 
   /// Adds a caller-defined probe (queue depth, tasks executed, ...).
   /// Must precede start(); see the thread-safety note above.
@@ -149,7 +105,6 @@ class TelemetrySampler {
 
   EventSink* sink_;
   Options options_;
-  std::vector<std::pair<std::string, const TrackedBytes*>> gauges_;
   std::vector<std::pair<std::string, std::function<std::uint64_t()>>>
       probes_;
   std::vector<const ProgressEstimator*> progress_;

@@ -321,10 +321,75 @@ std::vector<RowTask> enumerate_rows(const CampaignSpec& spec,
   return tasks;
 }
 
-/// Executes one row. `obs` is the executing worker's instrumentation
-/// shard (or the campaign-level handle on the serial path); the event
-/// sink is deliberately absent here — campaign_row events are emitted by
-/// the driver in enumeration order.
+/// The row's flight recorder: off, or writing task.flush_path (the whole
+/// run, or its last spec.recording_ring steps).
+engine::FlightRecorderOptions row_flight(const CampaignSpec& spec,
+                                         const RowTask& task) {
+  engine::FlightRecorderOptions flight;
+  if (!task.flush_path.empty()) {
+    flight.mode = spec.recording_ring == 0
+                      ? engine::FlightRecorderOptions::Mode::kFull
+                      : engine::FlightRecorderOptions::Mode::kRing;
+    flight.ring_capacity = spec.recording_ring;
+    flight.instance_name = task.instance;
+    flight.scheduler = to_string(task.kind);
+    flight.seed = task.seed;
+    flight.flush_path = task.flush_path;
+  }
+  return flight;
+}
+
+/// Opens the row's campaign.row span.
+obs::Span open_row_span(const RowTask& task,
+                        const obs::Instrumentation& obs) {
+  obs::Span span = obs.span("campaign.row");
+  if (span.enabled()) {
+    span.attr("instance", task.instance)
+        .attr("model", task.model.name())
+        .attr("scheduler", to_string(task.kind))
+        .attr("seed", task.seed);
+  }
+  return span;
+}
+
+/// The row fields every scheduler kind takes from its task and its
+/// engine run.
+CampaignRow engine_row(const RowTask& task, const engine::RunResult& run) {
+  CampaignRow row;
+  row.instance = task.instance;
+  row.model = task.model;
+  row.scheduler = task.kind;
+  row.seed = task.seed;
+  row.outcome = run.outcome;
+  row.steps = run.steps;
+  row.messages_sent = run.messages_sent;
+  row.messages_dropped = run.messages_dropped;
+  row.max_channel_occupancy = run.max_channel_occupancy;
+  row.peak_channel_bytes = run.peak_channel_bytes;
+  row.recording_path = run.recording_path;
+  row.critical_path_len = run.critical_path_len;
+  row.perturb = task.perturb;
+  row.perturb_edits = task.perturb_edits;
+  return row;
+}
+
+/// Stamps the row's wall time since `row_start` and adds it to the
+/// campaign.* counters.
+void finish_row(CampaignRow& row,
+                std::chrono::steady_clock::time_point row_start,
+                const obs::Instrumentation& obs) {
+  row.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - row_start)
+                    .count();
+  if (obs.metrics != nullptr) {
+    obs::Registry& metrics = *obs.metrics;
+    metrics.counter("campaign.rows").add();
+    metrics.counter("campaign.steps").add(row.steps);
+    metrics.counter("campaign.wall_us")
+        .add(static_cast<std::uint64_t>(row.wall_ms * 1000.0));
+  }
+}
+
 /// Executes one kSim row through sim::run (the engine options — flight
 /// recorder, model enforcement, obs shard — are assembled by sim::run
 /// itself from SimOptions).
@@ -340,16 +405,7 @@ CampaignRow run_sim_row(const CampaignSpec& spec, const RowTask& task,
   sopts.causality = spec.causality;
   sopts.obs.metrics = obs.metrics;
   sopts.obs.spans = obs.spans;
-  if (!task.flush_path.empty()) {
-    sopts.flight.mode = spec.recording_ring == 0
-                            ? engine::FlightRecorderOptions::Mode::kFull
-                            : engine::FlightRecorderOptions::Mode::kRing;
-    sopts.flight.ring_capacity = spec.recording_ring;
-    sopts.flight.instance_name = task.instance;
-    sopts.flight.scheduler = to_string(task.kind);
-    sopts.flight.seed = task.seed;
-    sopts.flight.flush_path = task.flush_path;
-  }
+  sopts.flight = row_flight(spec, task);
   // The fault axis: instantiate the row's schedule spec against this
   // instance. The seed folds in (instance variant, fault label, seed)
   // only — no model or sim-point coordinate — so every model in a
@@ -365,53 +421,30 @@ CampaignRow run_sim_row(const CampaignSpec& spec, const RowTask& task,
   }
 
   const auto row_start = std::chrono::steady_clock::now();
-  obs::Span row_span = obs.span("campaign.row");
+  obs::Span row_span = open_row_span(task, obs);
   if (row_span.enabled()) {
-    row_span.attr("instance", task.instance)
-        .attr("model", task.model.name())
-        .attr("scheduler", to_string(task.kind))
-        .attr("seed", task.seed)
-        .attr("sim_latency_us", task.link.latency_us)
+    row_span.attr("sim_latency_us", task.link.latency_us)
         .attr("sim_loss", task.link.loss_prob);
   }
   const sim::SimResult sres = sim::run(*task.inst, sopts);
   row_span.finish();
-  CampaignRow row;
-  row.instance = task.instance;
-  row.model = task.model;
-  row.scheduler = task.kind;
-  row.seed = task.seed;
-  row.outcome = sres.run.outcome;
-  row.steps = sres.run.steps;
-  row.messages_sent = sres.run.messages_sent;
-  row.messages_dropped = sres.run.messages_dropped;
-  row.max_channel_occupancy = sres.run.max_channel_occupancy;
-  row.peak_channel_bytes = sres.run.peak_channel_bytes;
-  row.recording_path = sres.run.recording_path;
+  CampaignRow row = engine_row(task, sres.run);
   row.sim_latency_us = task.link.latency_us;
   row.sim_loss = task.link.loss_prob;
   row.virtual_us = sres.virtual_end_us;
   row.last_change_us = sres.last_change_us;
-  row.critical_path_len = sres.run.critical_path_len;
   row.critical_path_us = sres.critical_path_us;
-  row.perturb = task.perturb;
-  row.perturb_edits = task.perturb_edits;
   row.fault_schedule = task.fault_label;
   row.faults_applied = sres.faults_applied;
   row.reconverge_us = sres.reconverge_us();
-  row.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - row_start)
-                    .count();
-  if (obs.metrics != nullptr) {
-    obs::Registry& metrics = *obs.metrics;
-    metrics.counter("campaign.rows").add();
-    metrics.counter("campaign.steps").add(row.steps);
-    metrics.counter("campaign.wall_us")
-        .add(static_cast<std::uint64_t>(row.wall_ms * 1000.0));
-  }
+  finish_row(row, row_start, obs);
   return row;
 }
 
+/// Executes one row. `obs` is the executing worker's instrumentation
+/// shard (or the campaign-level handle on the serial path); the event
+/// sink is deliberately absent here — campaign_row events are emitted by
+/// the driver in enumeration order.
 CampaignRow run_one_row(const CampaignSpec& spec, const RowTask& task,
                         const obs::Instrumentation& obs) {
   if (task.kind == SchedulerKind::kSim) {
@@ -427,16 +460,7 @@ CampaignRow run_one_row(const CampaignSpec& spec, const RowTask& task,
   // campaign-level handles after the sweep.
   options.obs.metrics = obs.metrics;
   options.obs.spans = obs.spans;
-  if (!task.flush_path.empty()) {
-    options.flight.mode = spec.recording_ring == 0
-                              ? engine::FlightRecorderOptions::Mode::kFull
-                              : engine::FlightRecorderOptions::Mode::kRing;
-    options.flight.ring_capacity = spec.recording_ring;
-    options.flight.instance_name = task.instance;
-    options.flight.scheduler = to_string(task.kind);
-    options.flight.seed = task.seed;
-    options.flight.flush_path = task.flush_path;
-  }
+  options.flight = row_flight(spec, task);
   switch (task.kind) {
     case SchedulerKind::kRoundRobin:
       scheduler = std::make_unique<engine::RoundRobinScheduler>(task.model,
@@ -467,40 +491,11 @@ CampaignRow run_one_row(const CampaignSpec& spec, const RowTask& task,
   }
 
   const auto row_start = std::chrono::steady_clock::now();
-  obs::Span row_span = obs.span("campaign.row");
-  if (row_span.enabled()) {
-    row_span.attr("instance", task.instance)
-        .attr("model", task.model.name())
-        .attr("scheduler", to_string(task.kind))
-        .attr("seed", task.seed);
-  }
+  obs::Span row_span = open_row_span(task, obs);
   const engine::RunResult run = engine::run(*task.inst, *scheduler, options);
   row_span.finish();
-  CampaignRow row;
-  row.instance = task.instance;
-  row.model = task.model;
-  row.scheduler = task.kind;
-  row.seed = task.seed;
-  row.outcome = run.outcome;
-  row.steps = run.steps;
-  row.messages_sent = run.messages_sent;
-  row.messages_dropped = run.messages_dropped;
-  row.max_channel_occupancy = run.max_channel_occupancy;
-  row.peak_channel_bytes = run.peak_channel_bytes;
-  row.recording_path = run.recording_path;
-  row.critical_path_len = run.critical_path_len;
-  row.perturb = task.perturb;
-  row.perturb_edits = task.perturb_edits;
-  row.wall_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - row_start)
-                    .count();
-  if (obs.metrics != nullptr) {
-    obs::Registry& metrics = *obs.metrics;
-    metrics.counter("campaign.rows").add();
-    metrics.counter("campaign.steps").add(row.steps);
-    metrics.counter("campaign.wall_us")
-        .add(static_cast<std::uint64_t>(row.wall_ms * 1000.0));
-  }
+  CampaignRow row = engine_row(task, run);
+  finish_row(row, row_start, obs);
   return row;
 }
 

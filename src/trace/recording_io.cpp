@@ -248,14 +248,6 @@ std::uint64_t count_changes(const RecordingDoc& doc) {
 
 }  // namespace
 
-std::vector<Assignment> RecordingDoc::pi_sequence() const {
-  std::vector<Assignment> seq;
-  seq.reserve(assignments.size() + 1);
-  seq.push_back(initial);
-  seq.insert(seq.end(), assignments.begin(), assignments.end());
-  return seq;
-}
-
 std::vector<Assignment> RecordingDoc::collapsed() const {
   std::vector<Assignment> out;
   out.push_back(initial);

@@ -122,11 +122,8 @@ struct RecordingDoc {
   /// True when the window starts at the initial state (replayable).
   bool complete() const { return meta.first_step == 1; }
 
-  /// initial followed by the per-step assignments: the {pi(t)} window.
-  std::vector<Assignment> pi_sequence() const;
-
-  /// pi_sequence() with consecutive duplicates removed (Def. 3.2's
-  /// collapsed view).
+  /// The {pi(t)} window (initial, then the per-step assignments) with
+  /// consecutive duplicates removed (Def. 3.2's collapsed view).
   std::vector<Assignment> collapsed() const;
 };
 

@@ -64,30 +64,6 @@ std::optional<std::size_t> first_divergence(const Trace& a,
   return std::nullopt;
 }
 
-std::string divergence_report(const spp::Instance& instance, const Trace& a,
-                              const Trace& b) {
-  const auto at = first_divergence(a, b);
-  if (!at.has_value()) {
-    return "";
-  }
-  std::string out = "traces diverge at step " + std::to_string(*at);
-  if (*at >= a.size() || *at >= b.size()) {
-    out += ": one trace ends (lengths " + std::to_string(a.size()) +
-           " vs " + std::to_string(b.size()) + ")";
-    return out;
-  }
-  out += ":";
-  const Assignment pa = a.at(*at);
-  const Assignment pb = b.at(*at);
-  for (NodeId v = 0; v < instance.node_count(); ++v) {
-    if (pa[v] != pb[v]) {
-      out += " " + instance.graph().name(v) + "=" + instance.path_name(pa[v]) +
-             " vs " + instance.path_name(pb[v]);
-    }
-  }
-  return out;
-}
-
 MatchKind strongest_match(const Trace& original, const Trace& candidate) {
   if (matches_exactly(original, candidate)) {
     return MatchKind::kExact;

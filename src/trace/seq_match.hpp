@@ -56,10 +56,4 @@ MatchKind strongest_match(const Trace& original, const Trace& candidate);
 /// other); nullopt when equal.
 std::optional<std::size_t> first_divergence(const Trace& a, const Trace& b);
 
-/// Human-readable report of the first divergence: which step, and each
-/// node whose assignment differs there. Empty string when the traces are
-/// identical.
-std::string divergence_report(const spp::Instance& instance, const Trace& a,
-                              const Trace& b);
-
 }  // namespace commroute::trace

@@ -218,14 +218,6 @@ TEST(Explorer, TrackedBytesGrowWithTheSeenSet) {
             r.states * sizeof(engine::NetworkState));
   EXPECT_FALSE(r.memory_limit_hit);
   EXPECT_EQ(r.memory_limit, 0u);
-
-  // An attached TrackedBytes counter mirrors the internal accounting.
-  obs::TrackedBytes memory;
-  ExploreOptions opts;
-  opts.max_channel_length = 3;
-  opts.memory = &memory;
-  const ExploreResult tracked = explore(inst, Model::parse("RMS"), opts);
-  EXPECT_EQ(memory.peak(), tracked.tracked_peak_bytes);
 }
 
 TEST(Explorer, MemoryLimitTruncatesDeterministically) {

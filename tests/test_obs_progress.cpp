@@ -46,15 +46,6 @@ TEST(ProgressEstimator, StaleSmallerCountsNeverRollBackwards) {
   EXPECT_EQ(snap.updates, 2u);
 }
 
-TEST(ProgressEstimator, DetailRidesTheSnapshotUnderItsLabel) {
-  ProgressEstimator progress("engine.steps", "steps_since_change");
-  progress.update(64, 1000);
-  progress.set_detail(12);
-  const ProgressSnapshot snap = progress.snapshot();
-  EXPECT_EQ(snap.detail_label, "steps_since_change");
-  EXPECT_EQ(snap.detail, 12u);
-}
-
 TEST(ProgressEstimator, EtaIsZeroWithoutAnObservedRate) {
   ProgressEstimator progress("idle");
   progress.update(1, 100);
@@ -67,7 +58,7 @@ TEST(ProgressEstimator, EtaIsZeroWithoutAnObservedRate) {
 TEST(TelemetrySampler, EmitsOneProgressSnapshotPerEstimatorPerTick) {
   MemorySink sink;
   ProgressEstimator rows("campaign.rows");
-  ProgressEstimator steps("engine.steps", "steps_since_change");
+  ProgressEstimator steps("engine.steps");
   rows.update(2, 8);
   steps.update(128, 4096);
   TelemetrySampler::Options options;
@@ -97,11 +88,10 @@ TEST(TelemetrySampler, EmitsOneProgressSnapshotPerEstimatorPerTick) {
       EXPECT_EQ(event->find("done")->as_number(), 2.0);
       EXPECT_EQ(event->find("total")->as_number(), 8.0);
       EXPECT_DOUBLE_EQ(event->find("fraction")->as_number(), 0.25);
-      EXPECT_EQ(event->find("steps_since_change"), nullptr);
     } else {
       EXPECT_EQ(name, "engine.steps");
       ++steps_snapshots;
-      EXPECT_NE(event->find("steps_since_change"), nullptr);
+      EXPECT_EQ(event->find("done")->as_number(), 128.0);
     }
   }
   // start() + stop() each emit one telemetry snapshot and one progress

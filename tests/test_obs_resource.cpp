@@ -1,12 +1,10 @@
-// Resource telemetry: TrackedBytes semantics, process-memory probing,
-// the TelemetrySampler lifecycle, and the mem/pool report consumers.
+// Resource telemetry: process-memory probing, the TelemetrySampler
+// lifecycle, and the mem/pool report consumers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
-#include <vector>
 
 #include "obs/analysis.hpp"
 #include "obs/events.hpp"
@@ -16,47 +14,6 @@
 namespace {
 
 using namespace commroute;
-
-TEST(TrackedBytes, AddSubPeak) {
-  obs::TrackedBytes bytes;
-  EXPECT_EQ(bytes.current(), 0u);
-  EXPECT_EQ(bytes.peak(), 0u);
-  bytes.add(100);
-  bytes.add(50);
-  EXPECT_EQ(bytes.current(), 150u);
-  EXPECT_EQ(bytes.peak(), 150u);
-  bytes.sub(120);
-  EXPECT_EQ(bytes.current(), 30u);
-  EXPECT_EQ(bytes.peak(), 150u);  // high watermark survives release
-  bytes.add(10);
-  EXPECT_EQ(bytes.current(), 40u);
-  EXPECT_EQ(bytes.peak(), 150u);  // not exceeded again
-  bytes.reset();
-  EXPECT_EQ(bytes.current(), 0u);
-  EXPECT_EQ(bytes.peak(), 0u);
-}
-
-TEST(TrackedBytes, PeakUnderConcurrentWriters) {
-  obs::TrackedBytes bytes;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 10000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&bytes] {
-      for (int i = 0; i < kIters; ++i) {
-        bytes.add(3);
-        bytes.sub(3);
-      }
-    });
-  }
-  for (std::thread& w : workers) {
-    w.join();
-  }
-  EXPECT_EQ(bytes.current(), 0u);
-  EXPECT_GE(bytes.peak(), 3u);
-  EXPECT_LE(bytes.peak(), 3u * kThreads);
-}
 
 TEST(ProcessMemory, ReportsResidentSet) {
   const obs::ProcessMemory mem = obs::read_process_memory();
@@ -71,21 +28,17 @@ TEST(ProcessMemory, ReportsResidentSet) {
 
 TEST(TelemetrySampler, EmitsFirstAndFinalSnapshot) {
   obs::MemorySink sink;
-  obs::TrackedBytes bytes;
-  bytes.add(4096);
   std::atomic<std::uint64_t> probe_value{7};
   // Long interval: only the start() snapshot and the stop() snapshot
   // fire, keeping the test fast and deterministic in count.
   obs::TelemetrySampler sampler(
       sink, {.interval_ms = 60000, .process_memory = true});
-  sampler.add_bytes("seen_bytes", &bytes);
   sampler.add_probe("tasks", [&probe_value] {
     return probe_value.load(std::memory_order_relaxed);
   });
   EXPECT_FALSE(sampler.running());
   sampler.start();
   EXPECT_TRUE(sampler.running());
-  bytes.add(4096);
   probe_value.store(11, std::memory_order_relaxed);
   sampler.stop();
   EXPECT_FALSE(sampler.running());
@@ -98,17 +51,13 @@ TEST(TelemetrySampler, EmitsFirstAndFinalSnapshot) {
   EXPECT_EQ(last->find("seq")->as_number(), 1.0);
   ASSERT_NE(last->find("elapsed_ms"), nullptr);
   ASSERT_NE(last->find("rss_bytes"), nullptr);
-  EXPECT_EQ(last->find("seen_bytes")->as_number(), 8192.0);
-  EXPECT_EQ(last->find("seen_bytes_peak")->as_number(), 8192.0);
   EXPECT_EQ(last->find("tasks")->as_number(), 11.0);
 }
 
 TEST(TelemetrySampler, RegistrationAfterStartThrows) {
   obs::MemorySink sink;
-  obs::TrackedBytes bytes;
   obs::TelemetrySampler sampler(sink, {.interval_ms = 60000});
   sampler.start();
-  EXPECT_THROW(sampler.add_bytes("late", &bytes), std::logic_error);
   EXPECT_THROW(sampler.add_probe("late", [] { return 0ull; }),
                std::logic_error);
   sampler.stop();

@@ -9,10 +9,9 @@
 //    differently, and their witnesses replay to an oscillation;
 //  * the state cap admits exactly <= N states at intern time (the
 //    historical per-pop check admitted N+branching);
-//  * count- and time-based heartbeat cadences are independent (the
-//    historical code reset the time interval on every count beat);
-//  * truncated runs land progress on done == total with a
-//    "truncated:<reason>" detail label instead of freezing short.
+//  * capped runs pin each searcher's order (EXPERIMENTS.md's E-SEARCH
+//    table and digests of the non-BFS searchers' output);
+//  * heartbeat events are identical across thread widths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,10 +22,11 @@
 
 #include "checker/explorer.hpp"
 #include "engine/runner.hpp"
+#include "model/script_io.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/progress.hpp"
 #include "spp/gadgets.hpp"
+#include "test_util.hpp"
 
 namespace commroute::checker {
 namespace {
@@ -266,6 +266,97 @@ TEST(ParallelChecker, SearcherKindParsesAndRoundTrips) {
   EXPECT_THROW(parse_searcher_kind("best-first"), PreconditionError);
 }
 
+// EXPERIMENTS.md's E-SEARCH table: BAD-GADGET R1O at bound 3 under a
+// state cap. A capped run's verdict and counts depend only on the order
+// the frontier hands out states, so these rows pin each searcher's pop
+// order and the random searcher's draws.
+TEST(ParallelChecker, ESearchTableIsPinned) {
+  struct Row {
+    SearcherKind kind;
+    std::uint64_t seed;
+    std::size_t cap;
+    bool found;
+    std::size_t transitions;
+    std::size_t frontier_peak;
+  };
+  const Row rows[] = {
+      {SearcherKind::kDFS, 0, 250, true, 769, 183},
+      {SearcherKind::kPriorityFlap, 0, 250, false, 447, 212},
+      {SearcherKind::kPriorityFlap, 0, 500, true, 1141, 402},
+      {SearcherKind::kBFS, 0, 32000, false, 299345, 6771},
+      {SearcherKind::kBFS, 0, 64000, true, 631320, 10146},
+      {SearcherKind::kRandomPath, 1, 4000, false, 12879, 2927},
+      {SearcherKind::kRandomPath, 2, 4000, false, 12407, 2963},
+      {SearcherKind::kRandomPath, 3, 4000, false, 12566, 2951},
+      {SearcherKind::kRandomPath, 7, 4000, false, 10495, 3120},
+      {SearcherKind::kRandomPath, 42, 4000, false, 12760, 2936},
+  };
+  const spp::Instance inst = spp::bad_gadget();
+  for (const Row& row : rows) {
+    ExploreOptions options;
+    options.max_channel_length = 3;
+    options.max_states = row.cap;
+    options.searcher = row.kind;
+    options.searcher_seed = row.seed;
+    const ExploreResult r = explore(inst, Model::parse("R1O"), options);
+    const std::string label = to_string(row.kind) + " seed " +
+                              std::to_string(row.seed) + " cap " +
+                              std::to_string(row.cap);
+    EXPECT_EQ(r.oscillation_found, row.found) << label;
+    EXPECT_TRUE(r.state_cap_hit) << label;
+    EXPECT_EQ(r.states, row.cap) << label;
+    EXPECT_EQ(r.transitions, row.transitions) << label;
+    EXPECT_EQ(r.frontier_peak, row.frontier_peak) << label;
+  }
+}
+
+// The non-BFS searchers' whole output on DISAGREE at bound 3: an FNV-1a
+// digest of checker_summary (minus wall_us) and the witness scripts.
+// These searchers number states in their own order, and the batch a
+// wave takes depends on the width, so each (model, searcher, width) has
+// its own digest.
+TEST(ParallelChecker, NonBfsSearcherOutputsArePinned) {
+  struct Pin {
+    const char* model;
+    SearcherKind kind;
+    std::size_t threads;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"R1O", SearcherKind::kDFS, 1, 18337780632631633610ULL},
+      {"R1O", SearcherKind::kDFS, 4, 3588927259324179997ULL},
+      {"R1O", SearcherKind::kRandomPath, 1, 4952301583143288620ULL},
+      {"R1O", SearcherKind::kRandomPath, 4, 1801958326025433306ULL},
+      {"R1O", SearcherKind::kPriorityFlap, 1, 3313662859717316451ULL},
+      {"R1O", SearcherKind::kPriorityFlap, 4, 16206397186383965945ULL},
+      {"RMS", SearcherKind::kDFS, 1, 13480778669573399126ULL},
+      {"RMS", SearcherKind::kDFS, 4, 8364470560644196124ULL},
+      {"RMS", SearcherKind::kRandomPath, 1, 7255032948600578968ULL},
+      {"RMS", SearcherKind::kRandomPath, 4, 14250991619480590755ULL},
+      {"RMS", SearcherKind::kPriorityFlap, 1, 4313198880045740900ULL},
+      {"RMS", SearcherKind::kPriorityFlap, 4, 3290727428318592119ULL},
+  };
+  const spp::Instance inst = spp::disagree();
+  for (const Pin& pin : pins) {
+    ExploreOptions options;
+    options.max_channel_length = 3;
+    options.threads = pin.threads;
+    options.searcher = pin.kind;
+    options.searcher_seed = 42;
+    options.extract_witness = true;
+    const ObservedRun run = run_explore(inst, Model::parse(pin.model), options);
+    ASSERT_TRUE(run.result.oscillation_found) << pin.model;
+    const std::string output =
+        run.summary_line + "\n" +
+        model::format_script(inst, run.result.witness_prefix) + "cycle\n" +
+        model::format_script(inst, run.result.witness_cycle);
+    EXPECT_EQ(testutil::fnv1a(output), pin.digest)
+        << pin.model << " " << to_string(pin.kind) << " t=" << pin.threads
+        << "\n"
+        << output;
+  }
+}
+
 // --- Satellite 1: exact state cap -------------------------------------
 
 TEST(ParallelChecker, StateCapAdmitsExactlyTheConfiguredMaximum) {
@@ -314,53 +405,6 @@ TEST(ParallelChecker, HeartbeatEventsMatchAcrossThreadWidths) {
   }
   EXPECT_FALSE(per_width[0].empty());
   EXPECT_EQ(per_width[0], per_width[1]);
-}
-
-// --- Satellite 3: truncated progress lands on done == total -----------
-
-TEST(ParallelChecker, StateCapTruncationCompletesProgress) {
-  const spp::Instance inst = spp::bad_gadget();
-  obs::ProgressEstimator progress("checker", "frontier");
-  ExploreOptions options;
-  options.max_channel_length = 2;
-  options.max_states = 1000;
-  options.progress = &progress;
-  const ExploreResult r = explore(inst, Model::parse("R1O"), options);
-  ASSERT_TRUE(r.state_cap_hit);
-  const obs::ProgressSnapshot snap = progress.snapshot();
-  EXPECT_EQ(snap.done, snap.total);
-  EXPECT_GT(snap.total, 0u);
-  EXPECT_DOUBLE_EQ(snap.fraction, 1.0);
-  EXPECT_EQ(snap.eta_ms, 0u);  // nothing left: no dangling ETA
-  EXPECT_EQ(snap.detail_label, "truncated:state_cap");
-}
-
-TEST(ParallelChecker, MemoryTruncationCompletesProgress) {
-  const spp::Instance inst = spp::bad_gadget();
-  obs::ProgressEstimator progress("checker", "frontier");
-  ExploreOptions options;
-  options.max_channel_length = 2;
-  options.memory_limit_bytes = 64 * 1024;
-  options.progress = &progress;
-  const ExploreResult r = explore(inst, Model::parse("R1O"), options);
-  ASSERT_TRUE(r.memory_limit_hit);
-  const obs::ProgressSnapshot snap = progress.snapshot();
-  EXPECT_EQ(snap.done, snap.total);
-  EXPECT_DOUBLE_EQ(snap.fraction, 1.0);
-  EXPECT_EQ(snap.detail_label, "truncated:memory_limit");
-}
-
-TEST(ParallelChecker, ExhaustiveRunsKeepTheFrontierLabel) {
-  const spp::Instance inst = spp::disagree();
-  obs::ProgressEstimator progress("checker", "frontier");
-  ExploreOptions options;
-  options.progress = &progress;
-  // REA (polling) drains channels, so DISAGREE exhausts under it.
-  const ExploreResult r = explore(inst, Model::parse("REA"), options);
-  ASSERT_TRUE(r.exhaustive);
-  const obs::ProgressSnapshot snap = progress.snapshot();
-  EXPECT_EQ(snap.done, snap.total);
-  EXPECT_EQ(snap.detail_label, "frontier");  // untouched when not truncated
 }
 
 // Truncation points are enumeration-ordered, so a capped exploration is

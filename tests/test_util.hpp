@@ -1,7 +1,9 @@
 // Shared helpers for the test suite.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/activation.hpp"
@@ -9,6 +11,16 @@
 #include "trace/recording.hpp"
 
 namespace commroute::testutil {
+
+/// FNV-1a digest of `bytes`: pins a long output (event lines, witness
+/// scripts) as one number.
+inline std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
 
 /// Builds a script activating the named nodes in order, each with the
 /// given step shape: "REA" poll-all, "REO" read-one-from-every.
