@@ -10,13 +10,11 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "obs/resource.hpp"
-#include "spp/random_gen.hpp"
 
 namespace commroute::bench {
 
@@ -129,24 +127,6 @@ inline int gbench_main(
   output.write();
   std::cout << output.to_json() << "\n";
   return 0;
-}
-
-/// The network of the *BySize rows (engine and sim benches run the same
-/// ones): a seeded shortest-path instance with `nodes` nodes, about one
-/// edge per node beyond the spanning tree, and at most 8 permitted paths
-/// per node. Built once per size.
-inline const spp::Instance& sized_instance(std::size_t nodes) {
-  static std::map<std::size_t, spp::Instance> instances;
-  auto it = instances.find(nodes);
-  if (it == instances.end()) {
-    Rng rng(42);
-    spp::RandomInstanceParams params;
-    params.nodes = nodes;
-    params.extra_edge_prob = 2.0 / static_cast<double>(nodes);
-    params.max_paths_per_node = 8;
-    it = instances.emplace(nodes, spp::random_shortest(rng, params)).first;
-  }
-  return it->second;
 }
 
 }  // namespace commroute::bench

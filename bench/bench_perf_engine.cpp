@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_gbench.hpp"
+#include "sized_instance.hpp"
 #include "engine/executor.hpp"
 #include "engine/runner.hpp"
 #include "engine/scheduler.hpp"

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_gbench.hpp"
+#include "sized_instance.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sim_runner.hpp"
 #include "spp/gadgets.hpp"

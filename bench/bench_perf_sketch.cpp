@@ -1,5 +1,5 @@
-// Sketch microbenchmarks (google-benchmark): LogHistogram observe and
-// merge throughput, and TopK add under eviction pressure. Run with
+// Sketch microbenchmarks (google-benchmark): LogHistogram observe
+// throughput and TopK add under eviction pressure. Run with
 // --json to write BENCH_perf_sketch.json instead of the console table.
 #include <benchmark/benchmark.h>
 
@@ -38,20 +38,6 @@ void BM_LogHistogramObserve(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LogHistogramObserve)->Arg(3)->Arg(5)->Arg(7);
-
-void BM_LogHistogramMerge(benchmark::State& state) {
-  const auto values = value_stream(65536);
-  obs::LogHistogram shard(7);
-  for (const std::uint64_t v : values) {
-    shard.observe(v);
-  }
-  for (auto _ : state) {
-    obs::LogHistogram target(7);
-    target.merge_from(shard);
-    benchmark::DoNotOptimize(target.count());
-  }
-}
-BENCHMARK(BM_LogHistogramMerge);
 
 void BM_TopKAddUnderEviction(benchmark::State& state) {
   // Key space far beyond capacity: every add churns the eviction path.

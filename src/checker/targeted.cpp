@@ -36,12 +36,20 @@ RealizationSearchResult find_realization(
 
   RealizationSearchResult result;
 
-  // The search compares every successor against target entries: rebuild
-  // them once rather than per lookup.
-  const std::vector<trace::Assignment> target_at = target.states();
   engine::NetworkState initial(instance);
-  CR_REQUIRE(initial.assignments() == target_at[0],
+  CR_REQUIRE(initial.assignments() == target.at(0),
              "target trace must start at the initial assignment");
+  // The search compares every successor against target entries: turn
+  // them into per-node path ids once. A path no state can hold gets
+  // kNoPath, which no assignment id equals.
+  const std::size_t n = instance.node_count();
+  std::vector<spp::PathId> target_ids;
+  target_ids.reserve(target.size() * n);
+  for (const trace::Assignment& a : target.states()) {
+    for (const Path& p : a) {
+      target_ids.push_back(instance.path_id(p).value_or(spp::kNoPath));
+    }
+  }
   const std::size_t last = target.size() - 1;
   if (target.size() == 1 && !options.require_convergent_tail) {
     result.found = true;
@@ -85,6 +93,16 @@ RealizationSearchResult find_realization(
   StepEnumerator steps(m, SuccessorOptions{options.max_steps_per_state});
   engine::NetworkState next(instance);
   engine::StepEffect effect;
+  // True when `next` holds target entry t.
+  const auto matches = [&](std::size_t t) {
+    const spp::PathId* ids = target_ids.data() + t * n;
+    for (NodeId v = 0; v < n; ++v) {
+      if (next.assignment_id(v) != ids[v]) {
+        return false;
+      }
+    }
+    return true;
+  };
 
   bool truncated = false;
   enqueue(states.intern(std::move(initial)), 0, static_cast<std::size_t>(-1),
@@ -120,31 +138,29 @@ RealizationSearchResult find_realization(
           return;
         }
       }
-      const trace::Assignment pi = next.assignments();
-
       std::optional<std::size_t> next_pos;
       if (pos == last) {
         // Tail phase: the assignment must hold at target.back() until
         // strong quiescence (only reachable with require_convergent_tail).
-        if (pi == target_at[last]) {
+        if (matches(last)) {
           next_pos = last;
         }
       } else {
         switch (sense) {
           case trace::MatchKind::kExact:
-            if (pi == target_at[pos + 1]) {
+            if (matches(pos + 1)) {
               next_pos = pos + 1;
             }
             break;
           case trace::MatchKind::kRepetition:
-            if (pi == target_at[pos + 1]) {
+            if (matches(pos + 1)) {
               next_pos = pos + 1;
-            } else if (pi == target_at[pos]) {
+            } else if (matches(pos)) {
               next_pos = pos;
             }
             break;
           case trace::MatchKind::kSubsequence:
-            next_pos = (pi == target_at[pos + 1]) ? pos + 1 : pos;
+            next_pos = matches(pos + 1) ? pos + 1 : pos;
             break;
           case trace::MatchKind::kNone:
             break;

@@ -12,8 +12,8 @@ namespace commroute::engine {
 namespace {
 
 /// Bounded capture of the executed steps for the flight recorder: a ring
-/// of (step, pi-after, I/O) entries whose window-initial assignment
-/// advances as old entries fall off.
+/// of (step, pi changes, I/O) entries whose window-initial assignment
+/// takes each entry's changes as it falls off.
 class FlightRecorder {
  public:
   FlightRecorder(const FlightRecorderOptions& options,
@@ -21,29 +21,18 @@ class FlightRecorder {
       : options_(options), window_initial_(std::move(initial)) {}
 
   void capture(const model::ActivationStep& step, const StepEffect& effect,
-               const NetworkState& state,
+               std::vector<trace::Change> changes,
                std::optional<std::uint64_t> t_us) {
-    Entry entry;
-    entry.step = step;
-    entry.pi = state.assignments();
-    for (const SentMessage& sent : effect.sent) {
-      entry.io.sent.push_back(sent.channel);
-    }
-    for (const ReadEffect& read : effect.reads) {
-      entry.io.reads.push_back(
-          trace::StepIo::Read{read.channel, read.processed, read.dropped});
-    }
-    for (const NodeEffect& node : effect.nodes) {
-      entry.io.selected.push_back(node.selected_from);
-    }
     if (window_.empty()) {
       timed_ = t_us.has_value();
     }
-    entry.t_us = t_us.value_or(0);
-    window_.push_back(std::move(entry));
+    window_.push_back(Entry{step, std::move(changes), trace::step_io(effect),
+                            t_us.value_or(0)});
     if (options_.mode == FlightRecorderOptions::Mode::kRing &&
         window_.size() > options_.ring_capacity) {
-      window_initial_ = std::move(window_.front().pi);
+      for (trace::Change& change : window_.front().changes) {
+        window_initial_[change.node] = std::move(change.path);
+      }
       ++first_step_;
       window_.pop_front();
     }
@@ -67,16 +56,15 @@ class FlightRecorder {
     }
     doc.meta.outcome = to_string(outcome);
     doc.meta.first_step = first_step_;
-    doc.initial = std::move(window_initial_);
+    doc.trace = trace::Trace(std::move(window_initial_));
     doc.steps.reserve(window_.size());
-    doc.assignments.reserve(window_.size());
     doc.io.reserve(window_.size());
     if (timed_) {
       doc.step_time_us.reserve(window_.size());
     }
     for (Entry& entry : window_) {
       doc.steps.push_back(std::move(entry.step));
-      doc.assignments.push_back(std::move(entry.pi));
+      doc.trace.record_changes(std::move(entry.changes));
       doc.io.push_back(std::move(entry.io));
       if (timed_) {
         doc.step_time_us.push_back(entry.t_us);
@@ -93,7 +81,7 @@ class FlightRecorder {
  private:
   struct Entry {
     model::ActivationStep step;
-    trace::Assignment pi;
+    std::vector<trace::Change> changes;  ///< nodes whose pi the step changed
     trace::StepIo io;
     std::uint64_t t_us = 0;
   };
@@ -173,6 +161,8 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
   }
   FaultHook* const hook = options.fault_hook;
   if (hook != nullptr) {
+    // A faulted step's changes are diffed against the trace's last pi.
+    CR_REQUIRE(options.record_trace, "a fault hook needs record_trace");
     hook->bind(&state);
   }
 
@@ -321,24 +311,30 @@ RunResult run(const spp::Instance& instance, Scheduler& scheduler,
     result.peak_channel_bytes =
         std::max(result.peak_channel_bytes, state.in_flight_bytes());
 
-    if (options.record_trace) {
+    // The step's pi changes, built once for the trace and the recorder.
+    std::vector<trace::Change> changes;
+    if (options.record_trace || recording) {
       if (faulted) {
-        result.trace.record(state.assignments());
+        // A fault may have rewritten pi outside the effect: diff the
+        // whole assignment against pi after the previous step.
+        changes = trace::diff(result.trace.back(), state.assignments());
       } else {
-        std::vector<trace::Change> changes;
         for (const NodeEffect& node : effect.nodes) {
           if (node.changed) {
-            const Path& path = instance.path(node.new_assignment);
-            changes.push_back(trace::Change{node.node, path});
+            changes.push_back(
+                trace::Change{node.node, instance.path(node.new_assignment)});
           }
         }
-        result.trace.record_changes(std::move(changes));
+      }
+      if (options.record_trace) {
+        // A copy when the recorder keeps the list too.
+        result.trace.record_changes(recording ? changes : std::move(changes));
       }
     }
     if (recording || causal.has_value()) {
       const std::optional<std::uint64_t> t_us = scheduler.virtual_time_us();
       if (recording) {
-        recorder->capture(step, effect, state, t_us);
+        recorder->capture(step, effect, std::move(changes), t_us);
       }
       if (causal.has_value()) {
         causal->record(step, effect, result.steps, t_us);

@@ -84,8 +84,8 @@ struct RunOptions {
   /// Fault injection (scenario subsystem): bound to the state before the
   /// loop; quiescence does not end the run while faults are pending, and
   /// faults the scheduler applies inside next() are drained every step
-  /// into the flight recorder and causality graph. Borrowed; must
-  /// outlive the call.
+  /// into the flight recorder and causality graph. Requires
+  /// record_trace. Borrowed; must outlive the call.
   FaultHook* fault_hook = nullptr;
 };
 

@@ -370,8 +370,8 @@ CausalityGraph CausalityRecorder::finish() && { return std::move(graph_); }
 
 CausalityGraph build_causality(const spp::Instance& instance,
                                const trace::RecordingDoc& doc) {
-  CR_REQUIRE(doc.steps.size() == doc.assignments.size(),
-             "causality: recording steps/assignments mismatch");
+  CR_REQUIRE(doc.trace.size() == doc.steps.size() + 1,
+             "causality: recording steps/trace mismatch");
   const auto step_time =
       [&](std::size_t t) -> std::optional<std::uint64_t> {
     return doc.step_time_us.empty()
@@ -457,13 +457,14 @@ CausalityGraph build_causality(const spp::Instance& instance,
       re.dropped = read.dropped;
       effect.reads.push_back(std::move(re));
     }
-    const trace::Assignment& prev =
-        t == 0 ? doc.initial : doc.assignments[t - 1];
+    const std::span<const trace::Change> changes = doc.trace.changes(t + 1);
     effect.nodes.reserve(doc.steps[t].nodes.size());
     for (std::size_t k = 0; k < doc.steps[t].nodes.size(); ++k) {
       engine::NodeEffect ne;
       ne.node = doc.steps[t].nodes[k];
-      ne.changed = prev[ne.node] != doc.assignments[t][ne.node];
+      ne.changed = std::any_of(
+          changes.begin(), changes.end(),
+          [&](const trace::Change& c) { return c.node == ne.node; });
       ne.selected_from = has_selected ? io.selected[k] : kNoChannel;
       effect.nodes.push_back(std::move(ne));
     }

@@ -18,36 +18,31 @@ FlapReport flap_timelines(const spp::Instance& instance,
   const std::size_t n = instance.node_count();
   std::vector<NodeFlapTimeline> nodes(n);
   std::vector<std::vector<Path>> seen(n);
+  const trace::Assignment initial = doc.trace.at(0);
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
     nodes[v].node = v;
     nodes[v].name = instance.graph().name(v);
-    seen[v].push_back(doc.initial.size() > v ? doc.initial[v] : Path());
+    seen[v].push_back(initial[v]);
   }
 
-  const trace::Assignment* prev = &doc.initial;
-  for (std::size_t t = 0; t < doc.assignments.size(); ++t) {
-    const trace::Assignment& cur = doc.assignments[t];
-    const std::uint64_t step = doc.meta.first_step + t;
-    for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-      if (cur[v] == (*prev)[v]) {
-        continue;
-      }
-      NodeFlapTimeline& node = nodes[v];
+  for (std::size_t t = 1; t < doc.trace.size(); ++t) {
+    const std::uint64_t step = doc.meta.first_step + t - 1;
+    for (const trace::Change& change : doc.trace.changes(t)) {
+      NodeFlapTimeline& node = nodes[change.node];
       ++node.changes;
       ++report.total_changes;
-      if (cur[v].empty()) {
+      if (change.path.empty()) {
         ++node.withdrawals;
       }
       if (node.first_change_step == 0) {
         node.first_change_step = step;
       }
       node.last_change_step = step;
-      if (std::find(seen[v].begin(), seen[v].end(), cur[v]) ==
-          seen[v].end()) {
-        seen[v].push_back(cur[v]);
+      std::vector<Path>& paths = seen[change.node];
+      if (std::find(paths.begin(), paths.end(), change.path) == paths.end()) {
+        paths.push_back(change.path);
       }
     }
-    prev = &cur;
   }
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
     nodes[v].distinct_paths = seen[v].size();
@@ -100,14 +95,12 @@ OscillationCycle extract_cycle(const trace::RecordingDoc& doc,
 
   // Collapsed sequence plus, per collapsed state, the global step index
   // at which it was entered.
-  std::vector<trace::Assignment> collapsed;
-  std::vector<std::uint64_t> entered;
-  collapsed.push_back(doc.initial);
-  entered.push_back(doc.meta.first_step == 0 ? 0 : doc.meta.first_step - 1);
-  for (std::size_t t = 0; t < doc.assignments.size(); ++t) {
-    if (doc.assignments[t] != collapsed.back()) {
-      collapsed.push_back(doc.assignments[t]);
-      entered.push_back(doc.meta.first_step + t);
+  const std::vector<trace::Assignment> collapsed = doc.trace.collapsed();
+  std::vector<std::uint64_t> entered{
+      doc.meta.first_step == 0 ? 0 : doc.meta.first_step - 1};
+  for (std::size_t t = 1; t < doc.trace.size(); ++t) {
+    if (!doc.trace.changes(t).empty()) {
+      entered.push_back(doc.meta.first_step + t - 1);
     }
   }
   result.collapsed_states = collapsed.size();

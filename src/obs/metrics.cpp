@@ -88,9 +88,6 @@ void Registry::merge_from(const Registry& other) {
       case GaugeMerge::kSum:
         mine.add(g.value());
         break;
-      case GaugeMerge::kLast:
-        mine.set(g.value());
-        break;
     }
   }
   for (const auto& [name, h] : other.histograms_) {

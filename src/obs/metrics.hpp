@@ -25,13 +25,10 @@ class Counter {
 /// How Registry::merge_from combines two same-named gauges. kMax is the
 /// historical default (high-water marks); kSum is for counters-in-
 /// gauge-clothing (per-shard occurrence flags that must add up, e.g.
-/// engine.cycle_detection_disabled); kLast takes the merged-in value
-/// (merge order is the deterministic worker order, so "last shard wins"
-/// is reproducible, but prefer kMax/kSum for anything byte-compared).
+/// engine.cycle_detection_disabled).
 enum class GaugeMerge {
   kMax,
   kSum,
-  kLast,
 };
 
 /// A point-in-time value (frontier size, channel-occupancy high-water).
@@ -116,14 +113,12 @@ class Registry {
 
   /// Folds another registry into this one: counters add, gauges combine
   /// per their GaugeMerge policy (max by default; sum for occurrence
-  /// gauges; last-wins for kLast), histograms add bucket-wise
-  /// (same-name histograms must share bounds). This is how per-worker
-  /// registry shards collapse into a campaign-level registry after a
-  /// parallel sweep; kMax/kSum combiners are commutative and
-  /// associative, so the merged aggregates are identical regardless of
-  /// which worker ran which row (kLast depends on the — deterministic —
-  /// shard merge order). A gauge created here by the merge inherits the
-  /// incoming shard's policy.
+  /// gauges), histograms add bucket-wise (same-name histograms must
+  /// share bounds). This is how per-worker registry shards collapse into
+  /// a campaign-level registry after a parallel sweep; every combiner is
+  /// commutative and associative, so the merged aggregates are identical
+  /// regardless of which worker ran which row. A gauge created here by
+  /// the merge inherits the incoming shard's policy.
   void merge_from(const Registry& other);
 
   /// All metrics, name-sorted within each kind.

@@ -131,11 +131,9 @@ void TelemetrySampler::emit_snapshot() {
   Event event("telemetry_snapshot");
   event.field("seq", seq_.fetch_add(1, std::memory_order_relaxed));
   event.field("elapsed_ms", static_cast<std::uint64_t>(elapsed));
-  if (options_.process_memory) {
-    const ProcessMemory mem = read_process_memory();
-    event.field("rss_bytes", mem.rss_bytes);
-    event.field("peak_rss_bytes", mem.peak_rss_bytes);
-  }
+  const ProcessMemory mem = read_process_memory();
+  event.field("rss_bytes", mem.rss_bytes);
+  event.field("peak_rss_bytes", mem.peak_rss_bytes);
   for (const auto& [name, probe] : probes_) {
     event.field(name, probe());
   }

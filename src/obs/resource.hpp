@@ -51,9 +51,9 @@ ProcessMemory read_process_memory();
 
 /// Background sampler: every `interval_ms` it emits one
 /// "telemetry_snapshot" event carrying a monotone `seq`, `elapsed_ms`
-/// since start(), process RSS (when enabled), and every probe (as
-/// `<name>`). One snapshot is emitted immediately on start(), so
-/// even sub-interval runs produce at least one sample.
+/// since start(), process RSS, and every probe (as `<name>`). One
+/// snapshot is emitted immediately on start(), so even sub-interval runs
+/// produce at least one sample.
 ///
 /// Registration must finish before start() (enforced); probes run on
 /// the sampler thread and must only read thread-safe state (atomics,
@@ -64,7 +64,6 @@ class TelemetrySampler {
  public:
   struct Options {
     std::uint64_t interval_ms = 250;
-    bool process_memory = true;  ///< include rss_bytes / peak_rss_bytes
   };
 
   explicit TelemetrySampler(EventSink& sink);

@@ -67,22 +67,6 @@ void LogHistogram::observe(std::uint64_t v) {
   }
 }
 
-void LogHistogram::merge_from(const LogHistogram& other) {
-  CR_REQUIRE(bits_ == other.bits_,
-             "LogHistogram::merge_from requires identical precision");
-  for (const auto& [index, n] : other.buckets_) {
-    buckets_[index] += n;
-  }
-  if (other.count_ > 0) {
-    if (count_ == 0 || other.min_ < min_) {
-      min_ = other.min_;
-    }
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 std::uint64_t LogHistogram::quantile(double q) const {
   if (count_ == 0) {
     return 0;
@@ -146,32 +130,6 @@ void TopK::add(std::uint64_t key, std::uint64_t weight) {
   const std::uint64_t floor = victim->second.count;
   entries_.erase(victim);
   entries_.emplace(key, Cell{floor + weight, floor});
-}
-
-void TopK::prune() {
-  while (entries_.size() > capacity_) {
-    auto victim = entries_.begin();
-    for (auto cand = entries_.begin(); cand != entries_.end(); ++cand) {
-      if (cand->second.count < victim->second.count ||
-          (cand->second.count == victim->second.count &&
-           cand->first > victim->first)) {
-        victim = cand;
-      }
-    }
-    entries_.erase(victim);
-  }
-}
-
-void TopK::merge_from(const TopK& other) {
-  CR_REQUIRE(capacity_ == other.capacity_,
-             "TopK::merge_from requires identical capacity");
-  total_ += other.total_;
-  for (const auto& [key, cell] : other.entries_) {
-    Cell& mine = entries_[key];
-    mine.count += cell.count;
-    mine.error += cell.error;
-  }
-  prune();
 }
 
 std::vector<TopK::Entry> TopK::top() const {

@@ -1,8 +1,5 @@
-// Streaming sketches: bounded-memory, mergeable summaries. Two
-// structures, both deterministic and both with *commutative, associative*
-// merge_from, so per-worker shards combine into byte-identical JSON at
-// any thread width (the same shard-and-merge contract
-// Registry::merge_from established):
+// Streaming sketches: bounded-memory, deterministic summaries of one
+// stream. Two structures:
 //
 //   * LogHistogram — an HDR-style log-bucketed histogram with
 //     configurable precision and an exact quantile-error contract:
@@ -11,9 +8,8 @@
 //     O(buckets touched), never O(samples).
 //   * TopK — a space-saving heavy-hitter sketch (most-flapped nodes,
 //     hottest channels, deepest-queue channels). Counts are exact
-//     upper bounds with a per-entry overestimation `error`; merges are
-//     exact (and order-invariant) whenever capacity covers the distinct
-//     keys, approximate with documented eviction ties otherwise.
+//     upper bounds with a per-entry overestimation `error`; evictions
+//     break ties deterministically.
 //
 // StreamingSummarizer (`commroute-obs summarize`) spills its duration
 // quantiles into a LogHistogram, and the run report reads both kinds of
@@ -40,11 +36,6 @@ class LogHistogram {
 
   void observe(std::uint64_t v);
 
-  /// Adds another histogram's observations. Requires identical
-  /// precision. Commutative and associative: any merge tree over the
-  /// same multiset of observations yields identical state.
-  void merge_from(const LogHistogram& other);
-
   std::uint64_t count() const { return count_; }
   std::uint64_t sum() const { return sum_; }
   std::uint64_t min() const { return count_ == 0 ? 0 : min_; }
@@ -65,7 +56,7 @@ class LogHistogram {
 
   /// {"precision_bits":..,"count":..,"sum":..,"min":..,"max":..,
   ///  "p50":..,"p90":..,"p99":..,"buckets":..} — a pure function of the
-  /// observed multiset, hence byte-identical across shard counts.
+  /// observed multiset.
   std::string to_json() const;
 
  private:
@@ -97,13 +88,6 @@ class TopK {
 
   void add(std::uint64_t key, std::uint64_t weight = 1);
 
-  /// Sums per-key counts and errors, then prunes back to capacity.
-  /// Requires identical capacity. Exact and fully order/partition-
-  /// invariant when capacity >= distinct keys (the campaign and engine
-  /// usage); otherwise a standard space-saving approximation whose
-  /// result can depend on the merge tree.
-  void merge_from(const TopK& other);
-
   /// Entries sorted by count descending, key ascending.
   std::vector<Entry> top() const;
 
@@ -120,7 +104,6 @@ class TopK {
     std::uint64_t count = 0;
     std::uint64_t error = 0;
   };
-  void prune();
 
   std::size_t capacity_;
   std::uint64_t total_ = 0;

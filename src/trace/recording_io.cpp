@@ -234,29 +234,24 @@ StepIo io_from_record(const spp::Instance& instance,
   return io;
 }
 
-std::uint64_t count_changes(const RecordingDoc& doc) {
-  std::uint64_t changes = 0;
-  const Assignment* prev = &doc.initial;
-  for (const Assignment& a : doc.assignments) {
-    if (a != *prev) {
-      ++changes;
-    }
-    prev = &a;
-  }
-  return changes;
-}
-
 }  // namespace
 
-std::vector<Assignment> RecordingDoc::collapsed() const {
-  std::vector<Assignment> out;
-  out.push_back(initial);
-  for (const Assignment& a : assignments) {
-    if (a != out.back()) {
-      out.push_back(a);
-    }
+StepIo step_io(const engine::StepEffect& effect) {
+  StepIo io;
+  io.sent.reserve(effect.sent.size());
+  for (const engine::SentMessage& sent : effect.sent) {
+    io.sent.push_back(sent.channel);
   }
-  return out;
+  io.reads.reserve(effect.reads.size());
+  for (const engine::ReadEffect& read : effect.reads) {
+    io.reads.push_back(
+        StepIo::Read{read.channel, read.processed, read.dropped});
+  }
+  io.selected.reserve(effect.nodes.size());
+  for (const engine::NodeEffect& node : effect.nodes) {
+    io.selected.push_back(node.selected_from);
+  }
+  return io;
 }
 
 RecordingDoc doc_from_recording(const Recording& recording,
@@ -266,27 +261,12 @@ RecordingDoc doc_from_recording(const Recording& recording,
   RecordingDoc doc;
   doc.meta = std::move(meta);
   doc.meta.first_step = 1;
-  std::vector<Assignment> states = recording.trace.states();
-  doc.initial = std::move(states[0]);
+  doc.trace = recording.trace;
   doc.steps.reserve(recording.steps.size());
-  doc.assignments.reserve(recording.steps.size());
   doc.io.reserve(recording.steps.size());
-  for (std::size_t t = 0; t < recording.steps.size(); ++t) {
-    const RecordedStep& rec = recording.steps[t];
+  for (const RecordedStep& rec : recording.steps) {
     doc.steps.push_back(rec.step);
-    doc.assignments.push_back(std::move(states[t + 1]));
-    StepIo io;
-    for (const engine::SentMessage& sent : rec.effect.sent) {
-      io.sent.push_back(sent.channel);
-    }
-    for (const engine::ReadEffect& read : rec.effect.reads) {
-      io.reads.push_back(
-          StepIo::Read{read.channel, read.processed, read.dropped});
-    }
-    for (const engine::NodeEffect& node : rec.effect.nodes) {
-      io.selected.push_back(node.selected_from);
-    }
-    doc.io.push_back(std::move(io));
+    doc.io.push_back(step_io(rec.effect));
   }
   return doc;
 }
@@ -314,8 +294,8 @@ RecordingDoc record_witness(const spp::Instance& instance,
 
 void write_recording_jsonl(std::ostream& out, const spp::Instance& instance,
                            const RecordingDoc& doc) {
-  CR_REQUIRE(doc.steps.size() == doc.assignments.size(),
-             "recording steps/assignments mismatch");
+  CR_REQUIRE(doc.trace.size() == doc.steps.size() + 1,
+             "recording steps/trace mismatch");
   CR_REQUIRE(doc.io.empty() || doc.io.size() == doc.steps.size(),
              "recording io/steps mismatch");
   CR_REQUIRE(doc.step_time_us.empty() ||
@@ -368,7 +348,8 @@ void write_recording_jsonl(std::ostream& out, const spp::Instance& instance,
         .field("witness_cycle_len", doc.meta.witness_cycle_len);
   }
   header.field("instance", spp::format_instance(instance));
-  header.raw_field("initial", assignment_json(instance, doc.initial));
+  Assignment pi = doc.trace.at(0);
+  header.raw_field("initial", assignment_json(instance, pi));
   out << header.str() << '\n';
 
   for (std::size_t t = 0; t < doc.steps.size(); ++t) {
@@ -377,7 +358,10 @@ void write_recording_jsonl(std::ostream& out, const spp::Instance& instance,
     record.field("type", "recording_step")
         .field("t", doc.meta.first_step + t)
         .field("step", step_text(instance, doc.steps[t]));
-    record.raw_field("pi", assignment_json(instance, doc.assignments[t]));
+    for (const Change& change : doc.trace.changes(t + 1)) {
+      pi[change.node] = change.path;
+    }
+    record.raw_field("pi", assignment_json(instance, pi));
     if (!doc.io.empty()) {
       record.raw_field("sent", io_sent_json(doc.io[t]));
       record.raw_field("reads", io_reads_json(doc.io[t]));
@@ -398,7 +382,7 @@ void write_recording_jsonl(std::ostream& out, const spp::Instance& instance,
   obs::JsonWriter footer;
   footer.field("type", "recording_footer")
       .field("steps", static_cast<std::uint64_t>(doc.steps.size()))
-      .field("changes", count_changes(doc));
+      .field("changes", doc.trace.change_count());
   if (!doc.faults.empty()) {
     footer.field("faults", static_cast<std::uint64_t>(doc.faults.size()));
   }
@@ -491,9 +475,9 @@ LoadedRecording load_recording_jsonl(std::istream& in) {
   }
   const std::uint64_t declared_steps =
       u64_field(*header, "steps", header_line);
-  doc.initial = assignment_from_json(
+  doc.trace = Trace(assignment_from_json(
       loaded.instance, require_field(*header, "initial", header_line),
-      header_line);
+      header_line));
 
   bool saw_footer = false;
   while (std::getline(in, raw)) {
@@ -529,7 +513,7 @@ LoadedRecording load_recording_jsonl(std::istream& in) {
         fail(line_no, "step record must hold exactly one step");
       }
       doc.steps.push_back(std::move(step.front()));
-      doc.assignments.push_back(assignment_from_json(
+      doc.trace.record(assignment_from_json(
           loaded.instance, require_field(*parsed, "pi", line_no),
           line_no));
       if (parsed->find("sent") != nullptr ||
@@ -577,7 +561,7 @@ LoadedRecording load_recording_jsonl(std::istream& in) {
       if (const obs::JsonValue* changes = parsed->find("changes")) {
         const std::uint64_t declared =
             u64_elem(*changes, line_no, "changes");
-        if (declared != count_changes(doc)) {
+        if (declared != doc.trace.change_count()) {
           fail(line_no, "footer change count does not match assignments");
         }
       }
@@ -641,7 +625,8 @@ ReplayResult replay_recording(const LoadedRecording& loaded,
 
   ReplayResult result;
   engine::NetworkState state(loaded.instance);
-  if (state.assignments() != doc.initial) {
+  Assignment expected = doc.trace.at(0);
+  if (state.assignments() != expected) {
     // A complete recording must start from the canonical initial state;
     // load validation guarantees shape, this guards semantics.
     result.divergence = ReplayDivergence{0, kNoNode, {}, {}};
@@ -670,7 +655,9 @@ ReplayResult replay_recording(const LoadedRecording& loaded,
     ++result.steps_replayed;
     const Assignment actual = state.assignments();
     result.trace.record(actual);
-    const Assignment& expected = doc.assignments[t];
+    for (const Change& change : doc.trace.changes(t + 1)) {
+      expected[change.node] = change.path;
+    }
     if (actual != expected) {
       for (NodeId v = 0; v < static_cast<NodeId>(actual.size()); ++v) {
         if (actual[v] != expected[v]) {

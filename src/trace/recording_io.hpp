@@ -5,18 +5,22 @@
 // path-assignment sequences {pi(t)} they induce (Defs. 2.2/2.3); a
 // RecordingDoc is exactly one finite window of that pair, made durable:
 //
-//   {"type":"recording_header","schema_version":2,...,"instance":"...",
+//   {"type":"recording_header","schema_version":3,...,"instance":"...",
 //    "initial":["d","",""]}
 //   {"type":"recording_step","t":1,"step":"x | d->x f=inf",
 //    "pi":["d","xd",""],"sent":[2],"reads":[[0,1,0]],"sel":[0]}
+//   {"type":"recording_fault","before":2,"fault":"reboot x","t_us":900}
 //   ...
-//   {"type":"recording_footer","steps":N,"changes":K}
+//   {"type":"recording_footer","steps":N,"changes":K,"faults":F}
 //
 // The header embeds the full instance (spp/serialize.hpp text format) and
 // the run metadata (model, scheduler, seed, outcome, argv, git), so a
 // recording file is self-contained: it can be re-executed, diffed, and
 // analyzed with no other artifact. Steps use the script_io one-line
-// syntax; paths are space-separated node names ("" = epsilon).
+// syntax; paths are space-separated node names ("" = epsilon). Every
+// step line carries the full pi after it, but in memory a RecordingDoc
+// keeps the pi-sequence as a trace::Trace: pi before the window plus each
+// step's changes.
 //
 // A recording is *complete* when it starts at step 1 (first_step == 1);
 // the flight recorder's ring mode produces *partial* recordings (the last
@@ -71,6 +75,9 @@ struct StepIo {
   }
 };
 
+/// The I/O summary of one executed step.
+StepIo step_io(const engine::StepEffect& effect);
+
 /// Run metadata stamped into the header record.
 struct RecordingMeta {
   std::string kind = "recording";  ///< "recording" | "witness"
@@ -104,12 +111,14 @@ struct RecordedFault {
 };
 
 /// One recorded execution window: the activation steps and the
-/// assignment pi(t) after each, plus pi before the window.
+/// pi-sequence they induced.
 struct RecordingDoc {
   RecordingMeta meta;
-  Assignment initial;  ///< pi(first_step - 1)
   std::vector<model::ActivationStep> steps;
-  std::vector<Assignment> assignments;  ///< pi after each step
+  /// pi(first_step - 1) .. pi(last): entry 0 is pi before the window and
+  /// entry t + 1 is pi after steps[t], so trace.changes(t + 1) are the
+  /// nodes steps[t] changed (a fault before it included).
+  Trace trace;
   std::vector<StepIo> io;  ///< parallel to steps, or empty (no I/O info)
   /// Virtual timestamp of each step (schema v2, timed runs only —
   /// sim::run sources); parallel to steps, or empty (untimed).
@@ -121,10 +130,6 @@ struct RecordingDoc {
 
   /// True when the window starts at the initial state (replayable).
   bool complete() const { return meta.first_step == 1; }
-
-  /// The {pi(t)} window (initial, then the per-step assignments) with
-  /// consecutive duplicates removed (Def. 3.2's collapsed view).
-  std::vector<Assignment> collapsed() const;
 };
 
 /// Converts an in-memory Recording (trace/recording.hpp) to a complete

@@ -10,20 +10,24 @@ namespace commroute::trace {
 Trace::Trace(Assignment initial)
     : initial_(std::move(initial)), last_(initial_), ends_{0} {}
 
+std::vector<Change> diff(const Assignment& from, const Assignment& to) {
+  CR_REQUIRE(from.size() == to.size(),
+             "trace entries must hold one path per node");
+  std::vector<Change> changes;
+  for (NodeId v = 0; v < to.size(); ++v) {
+    if (to[v] != from[v]) {
+      changes.push_back(Change{v, to[v]});
+    }
+  }
+  return changes;
+}
+
 void Trace::record(const Assignment& a) {
   if (empty()) {
     *this = Trace(a);
     return;
   }
-  CR_REQUIRE(a.size() == last_.size(),
-             "trace entries must hold one path per node");
-  for (NodeId v = 0; v < a.size(); ++v) {
-    if (a[v] != last_[v]) {
-      changes_.push_back(Change{v, a[v]});
-      last_[v] = a[v];
-    }
-  }
-  ends_.push_back(changes_.size());
+  record_changes(diff(last_, a));
 }
 
 void Trace::record_changes(std::vector<Change> changes) {

@@ -26,6 +26,10 @@ struct Change {
   bool operator==(const Change&) const = default;
 };
 
+/// The nodes whose path differs between `from` and `to`, with their
+/// paths in `to`, sorted by node. Requires one path per node in both.
+std::vector<Change> diff(const Assignment& from, const Assignment& to);
+
 class Trace {
  public:
   Trace() = default;

@@ -1,12 +1,16 @@
-// Heap allocations made by checker::explore, per interned state.
+// Heap allocations made by checker::explore, per interned state, by
+// checker::find_realization, per configuration, and by engine::run, per
+// step.
 //
 // An expansion reuses one step enumerator, one successor state and one
 // step effect per worker and copies a successor into the seen-set only
 // when it is new. Edges go into one flat array and SCCs into one flat
 // member array, so the allocations that remain scale with the states
 // found (their payload copy and amortized array growth), not with the
-// transitions tried or the SCCs formed. This suite replaces the global
-// operator new/delete to count them, which is why it is its own
+// transitions tried or the SCCs formed. An engine step with the trace
+// or the flight recorder on keeps only what the step changed, so its
+// allocations do not grow with the network. This suite replaces the
+// global operator new/delete to count them, which is why it is its own
 // executable.
 #include <gtest/gtest.h>
 
@@ -16,7 +20,12 @@
 #include <new>
 
 #include "checker/explorer.hpp"
+#include "checker/targeted.hpp"
+#include "engine/runner.hpp"
+#include "engine/scheduler.hpp"
 #include "spp/gadgets.hpp"
+#include "sized_instance.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -103,6 +112,78 @@ TEST(CheckerAllocs, BadGadgetR1OAtBound2) {
   EXPECT_LE(counted.per_state(), 2.0)
       << counted.allocations << " allocations for "
       << counted.result.states << " states";
+}
+
+TEST(CheckerAllocs, TargetedSearchComparesPathIds) {
+  // A.3's REO trace, realized with repetition in R1O: 12,888
+  // configurations. Comparing a successor's path ids with the target's
+  // allocates nothing; building its assignment to compare would cost
+  // about 114 allocations per configuration.
+  const spp::Instance a3 = spp::example_a3();
+  const trace::Trace target = testutil::record_example_a3_reo(a3).trace;
+  allocations.store(0);
+  counting.store(true);
+  const RealizationSearchResult r =
+      find_realization(a3, Model::parse("R1O"), target,
+                       trace::MatchKind::kRepetition);
+  counting.store(false);
+  ASSERT_TRUE(r.found);
+  ASSERT_EQ(r.configs_explored, 12888u);
+  const double per_config = static_cast<double>(allocations.load()) /
+                            static_cast<double>(r.configs_explored);
+  EXPECT_LT(per_config, 10.0)
+      << allocations.load() << " allocations for " << r.configs_explored
+      << " configurations";
+}
+
+/// Allocations per step of an R1O round-robin run to convergence with
+/// cycle detection off, counted only inside engine::run.
+double run_allocations_per_step(const spp::Instance& inst,
+                                engine::RunOptions options) {
+  options.max_steps = 10'000'000;
+  options.detect_cycles = false;
+  engine::RoundRobinScheduler scheduler(Model::parse("R1O"), inst);
+  allocations.store(0);
+  counting.store(true);
+  const engine::RunResult result = engine::run(inst, scheduler, options);
+  counting.store(false);
+  EXPECT_EQ(result.outcome, engine::Outcome::kConverged);
+  return static_cast<double>(allocations.load()) /
+         static_cast<double>(result.steps);
+}
+
+TEST(EngineAllocs, FlightRecorderStepsDoNotCopyPi) {
+  // A ring of 256 steps keeps each step, its I/O summary and the nodes
+  // whose pi changed. A copy of pi per step would cost 92 / 277 / 654
+  // allocations per step at these sizes.
+  for (const std::size_t nodes : {100, 400, 1600}) {
+    engine::RunOptions options;
+    options.record_trace = false;
+    options.flight.mode = engine::FlightRecorderOptions::Mode::kRing;
+    options.flight.ring_capacity = 256;
+    EXPECT_LE(
+        run_allocations_per_step(bench::sized_instance(nodes), options),
+        16.0)
+        << nodes << " nodes";
+  }
+}
+
+TEST(EngineAllocs, TraceStepsStoreOnlyTheirChanges) {
+  // The ceilings are the allocations per step measured before the trace
+  // and the flight recorder shared one change list (2.286 / 2.210 /
+  // 2.098): sharing it must cost a trace-only run nothing.
+  const struct {
+    std::size_t nodes;
+    double ceiling;
+  } pins[] = {{100, 2.287}, {400, 2.211}, {1600, 2.099}};
+  for (const auto& pin : pins) {
+    engine::RunOptions options;
+    options.record_trace = true;
+    EXPECT_LE(
+        run_allocations_per_step(bench::sized_instance(pin.nodes), options),
+        pin.ceiling)
+        << pin.nodes << " nodes";
+  }
 }
 
 }  // namespace

@@ -76,9 +76,10 @@ TEST(FlightRecorder, RingModeKeepsExactlyTheLastSteps) {
   ASSERT_EQ(reference.steps, run.steps);
   const std::size_t offset =
       static_cast<std::size_t>(doc.meta.first_step) - 1;
-  EXPECT_EQ(doc.initial, ref.assignments[offset - 1]);
+  ASSERT_EQ(doc.trace.size(), doc.steps.size() + 1);
+  EXPECT_EQ(doc.trace.at(0), ref.trace.at(offset));
   for (std::size_t t = 0; t < doc.steps.size(); ++t) {
-    EXPECT_EQ(doc.assignments[t], ref.assignments[offset + t]);
+    EXPECT_EQ(doc.trace.at(t + 1), ref.trace.at(offset + t + 1));
     EXPECT_EQ(doc.io[t], ref.io[offset + t]);
   }
 }

@@ -191,23 +191,20 @@ TEST(RegistryMerge, MismatchedHistogramBoundsThrow) {
   EXPECT_THROW(target.merge_from(shard), PreconditionError);
 }
 
-TEST(RegistryMerge, GaugePoliciesMergeMaxSumAndLast) {
+TEST(RegistryMerge, GaugePoliciesMergeMaxAndSum) {
   // Shard-and-merge with per-gauge semantics: high-watermarks take the
-  // max, occurrence counts add, kLast takes the incoming value.
+  // max, occurrence counts add.
   Registry target, shard_a, shard_b;
   target.gauge("peak").set(10);                         // kMax default
   target.gauge("occurrences", GaugeMerge::kSum).set(2);
-  target.gauge("config", GaugeMerge::kLast).set(1);
   shard_a.gauge("peak").set(30);
   shard_a.gauge("occurrences", GaugeMerge::kSum).set(5);
-  shard_a.gauge("config", GaugeMerge::kLast).set(7);
   shard_b.gauge("peak").set(20);
   shard_b.gauge("occurrences", GaugeMerge::kSum).set(3);
   target.merge_from(shard_a);
   target.merge_from(shard_b);
   EXPECT_EQ(target.gauge("peak").value(), 30u);
   EXPECT_EQ(target.gauge("occurrences", GaugeMerge::kSum).value(), 10u);
-  EXPECT_EQ(target.gauge("config", GaugeMerge::kLast).value(), 7u);
 }
 
 TEST(RegistryMerge, SumPolicyGaugesSurviveParallelSharding) {

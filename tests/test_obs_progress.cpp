@@ -63,7 +63,6 @@ TEST(TelemetrySampler, EmitsOneProgressSnapshotPerEstimatorPerTick) {
   steps.update(128, 4096);
   TelemetrySampler::Options options;
   options.interval_ms = 3600 * 1000;  // only the start/stop snapshots
-  options.process_memory = false;
   TelemetrySampler sampler(sink, options);
   sampler.add_progress(&rows);
   sampler.add_progress(&steps);
@@ -106,7 +105,6 @@ TEST(TelemetrySampler, ProgressRegistrationMustPrecedeStart) {
   ProgressEstimator progress("late");
   TelemetrySampler::Options options;
   options.interval_ms = 3600 * 1000;
-  options.process_memory = false;
   TelemetrySampler sampler(sink, options);
   sampler.start();
   EXPECT_THROW(sampler.add_progress(&progress), std::logic_error);

@@ -31,8 +31,7 @@ TEST(TelemetrySampler, EmitsFirstAndFinalSnapshot) {
   std::atomic<std::uint64_t> probe_value{7};
   // Long interval: only the start() snapshot and the stop() snapshot
   // fire, keeping the test fast and deterministic in count.
-  obs::TelemetrySampler sampler(
-      sink, {.interval_ms = 60000, .process_memory = true});
+  obs::TelemetrySampler sampler(sink, {.interval_ms = 60000});
   sampler.add_probe("tasks", [&probe_value] {
     return probe_value.load(std::memory_order_relaxed);
   });
@@ -68,14 +67,10 @@ TEST(TelemetrySampler, RegistrationAfterStartThrows) {
 TEST(TelemetrySampler, StopsOnDestruction) {
   obs::MemorySink sink;
   {
-    obs::TelemetrySampler sampler(sink, {.interval_ms = 60000,
-                                         .process_memory = false});
+    obs::TelemetrySampler sampler(sink, {.interval_ms = 60000});
     sampler.start();
   }  // destructor must join the sampler thread
   EXPECT_EQ(sink.lines().size(), 2u);
-  const auto first = obs::json_parse(sink.lines().front());
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->find("rss_bytes"), nullptr);  // process_memory off
 }
 
 TEST(MemoryReport, AggregatesSnapshotsAndSummaries) {

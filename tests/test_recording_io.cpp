@@ -56,8 +56,7 @@ TEST(RecordingIo, RoundTripPreservesDocument) {
   EXPECT_EQ(loaded.doc.meta.first_step, 1u);
   EXPECT_TRUE(loaded.doc.complete());
 
-  EXPECT_EQ(loaded.doc.initial, doc.initial);
-  EXPECT_EQ(loaded.doc.assignments, doc.assignments);
+  EXPECT_EQ(loaded.doc.trace, doc.trace);
   EXPECT_EQ(loaded.doc.io, doc.io);
   // Steps survive the script-syntax round-trip verbatim.
   EXPECT_EQ(model::format_script(loaded.instance, loaded.doc.steps),
@@ -87,7 +86,7 @@ TEST(RecordingIo, WitnessRoundTripAndReplay) {
   EXPECT_EQ(loaded.doc.meta.kind, "witness");
   EXPECT_EQ(loaded.doc.meta.witness_cycle_len,
             explored.witness_cycle.size());
-  EXPECT_EQ(loaded.doc.assignments, doc.assignments);
+  EXPECT_EQ(loaded.doc.trace, doc.trace);
 
   const trace::ReplayResult replayed = trace::replay_recording(loaded);
   EXPECT_TRUE(replayed.identical);
@@ -118,23 +117,29 @@ TEST(RecordingIo, TamperedAssignmentIsReportedAsDivergence) {
   std::istringstream in(jsonl);
   trace::LoadedRecording loaded = trace::load_recording_jsonl(in);
 
-  // Flip one mid-run assignment back to its predecessor at a step where
-  // the run actually changed it.
-  std::size_t tampered = loaded.doc.assignments.size();
-  for (std::size_t t = 1; t < loaded.doc.assignments.size(); ++t) {
-    if (loaded.doc.assignments[t] != loaded.doc.assignments[t - 1]) {
-      loaded.doc.assignments[t] = loaded.doc.assignments[t - 1];
+  // Flip one mid-run assignment (pi after step t >= 2) back to its
+  // predecessor at a step where the run actually changed it.
+  std::vector<trace::Assignment> states = loaded.doc.trace.states();
+  std::size_t tampered = states.size();
+  for (std::size_t t = 2; t < states.size(); ++t) {
+    if (states[t] != states[t - 1]) {
+      states[t] = states[t - 1];
       tampered = t;
       break;
     }
   }
-  ASSERT_LT(tampered, loaded.doc.assignments.size());
+  ASSERT_LT(tampered, states.size());
+  trace::Trace forged;
+  for (const trace::Assignment& a : states) {
+    forged.record(a);
+  }
+  loaded.doc.trace = forged;
 
   const trace::ReplayResult replayed = trace::replay_recording(loaded);
   EXPECT_FALSE(replayed.identical);
   ASSERT_TRUE(replayed.divergence.has_value());
   EXPECT_EQ(replayed.divergence->step,
-            loaded.doc.meta.first_step + tampered);
+            loaded.doc.meta.first_step + tampered - 1);
   EXPECT_NE(replayed.divergence->expected, replayed.divergence->actual);
 }
 

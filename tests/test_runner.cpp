@@ -130,6 +130,22 @@ TEST(Runner, ModelEnforcementRejectsIllegalScript) {
                PreconditionError);
 }
 
+TEST(Runner, FaultHookRequiresTheTrace) {
+  // A faulted step's changes are diffed against the trace's last pi.
+  struct NoFaults : FaultHook {
+    void bind(NetworkState*) override {}
+    bool pending() const override { return false; }
+    std::vector<AppliedFault> drain_applied() override { return {}; }
+  } hook;
+  const spp::Instance inst = spp::good_gadget();
+  RoundRobinScheduler sched(Model::parse("R1O"), inst);
+  EXPECT_THROW(
+      run(inst, sched, {.record_trace = false, .fault_hook = &hook}),
+      PreconditionError);
+  EXPECT_EQ(run(inst, sched, {.fault_hook = &hook}).outcome,
+            Outcome::kConverged);
+}
+
 TEST(Runner, OutcomeToString) {
   EXPECT_EQ(to_string(Outcome::kConverged), "converged");
   EXPECT_EQ(to_string(Outcome::kOscillating), "oscillating");

@@ -683,7 +683,7 @@ int cmd_replay(const std::vector<std::string>& args) {
     return kExitUsage;
   }
   const trace::ReplayResult result = trace::replay_recording(*loaded);
-  const std::size_t collapsed = loaded->doc.collapsed().size();
+  const std::size_t collapsed = loaded->doc.trace.change_count() + 1;
 
   if (opts.json) {
     obs::JsonWriter w;
@@ -848,7 +848,7 @@ int cmd_oscillation(const std::vector<std::string>& args) {
         .field("found", cycle.found)
         .field("collapsed_states",
                static_cast<std::uint64_t>(
-                   converged ? loaded->doc.collapsed().size()
+                   converged ? loaded->doc.trace.change_count() + 1
                              : cycle.collapsed_states));
     if (cycle.found) {
       w.field("period", static_cast<std::uint64_t>(cycle.period))
@@ -909,20 +909,39 @@ NodeId node_by_name(const spp::Instance& inst, const std::string& name) {
   return kNoNode;
 }
 
-/// pi(link.node) right after link.step, rendered; "" when the recording
-/// window does not cover that step.
-std::string link_pi(const trace::LoadedRecording& loaded,
-                    const obs::CausalLink& link) {
-  const std::uint64_t first = loaded.doc.meta.first_step;
-  if (link.step < first) {
-    return "";
+/// pi at each hop of one chain, advanced through the recording's trace.
+/// A chain is root first, so its steps only go up and the walk applies
+/// each step's changes once.
+class ChainPi {
+ public:
+  explicit ChainPi(const trace::LoadedRecording& loaded)
+      : loaded_(loaded), pi_(loaded.doc.trace.at(0)) {}
+
+  /// pi(link.node) right after link.step, rendered; "" when the
+  /// recording window does not cover that step.
+  std::string at(const obs::CausalLink& link) {
+    const std::uint64_t first = loaded_.doc.meta.first_step;
+    if (link.step < first) {
+      return "";
+    }
+    const std::uint64_t local = link.step - first + 1;
+    if (local >= loaded_.doc.trace.size()) {
+      return "";
+    }
+    CR_REQUIRE(local >= t_, "chain steps must not decrease");
+    for (; t_ < local; ++t_) {
+      for (const trace::Change& change : loaded_.doc.trace.changes(t_ + 1)) {
+        pi_[change.node] = change.path;
+      }
+    }
+    return loaded_.instance.path_name(pi_[link.node]);
   }
-  const std::uint64_t local = link.step - first;
-  if (local >= loaded.doc.assignments.size()) {
-    return "";
-  }
-  return loaded.instance.path_name(loaded.doc.assignments[local][link.node]);
-}
+
+ private:
+  const trace::LoadedRecording& loaded_;
+  trace::Assignment pi_;  ///< pi(t_) of the window
+  std::size_t t_ = 0;
+};
 
 /// How the hop was reached: the arriving channel, program order, or the
 /// chain root.
@@ -939,6 +958,7 @@ std::string link_via(const obs::CausalityGraph& graph,
 std::string chain_json(const trace::LoadedRecording& loaded,
                        const obs::CausalityGraph& graph,
                        const std::vector<obs::CausalLink>& chain) {
+  ChainPi pi_at(loaded);
   std::string out = "[";
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const obs::CausalLink& link = chain[i];
@@ -955,7 +975,7 @@ std::string chain_json(const trace::LoadedRecording& loaded,
     if (link.via != kNoChannel) {
       w.field("via", graph.channel_name(link.via));
     }
-    const std::string pi = link_pi(loaded, link);
+    const std::string pi = pi_at.at(link);
     if (!pi.empty() || link.changed) {
       w.field("pi", pi);
     }
@@ -974,6 +994,7 @@ void print_chain(const trace::LoadedRecording& loaded,
   } else {
     table.set_header({"step", "node", "via", "pi"});
   }
+  ChainPi pi_at(loaded);
   for (std::size_t i = 0; i < chain.size(); ++i) {
     const obs::CausalLink& link = chain[i];
     std::vector<std::string> row;
@@ -983,7 +1004,7 @@ void print_chain(const trace::LoadedRecording& loaded,
     }
     row.push_back(graph.node_name(link.node));
     row.push_back(link_via(graph, link, i == 0));
-    row.push_back(link_pi(loaded, link));
+    row.push_back(pi_at.at(link));
     table.add_row(row);
   }
   std::cout << table.render();
