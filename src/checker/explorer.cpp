@@ -96,6 +96,9 @@ class LabelTable {
 /// stay below it.
 constexpr std::uint32_t kNoEdge = static_cast<std::uint32_t>(-1);
 
+/// "No label": a state without self-loops (see ConfigGraph::Row).
+constexpr std::uint32_t kNoLabel = static_cast<std::uint32_t>(-1);
+
 /// The tracked-bytes model charges the unit costs of the graph layout
 /// this one replaced, so `tracked_peak_bytes`, `checker_summary`, matrix
 /// CSVs and memory-limit truncation points did not move with it: a
@@ -110,8 +113,10 @@ constexpr std::size_t kLegacyRowBytes = 24;
 constexpr StateId kUnmapped = static_cast<StateId>(-1);
 constexpr StateId kDroppedAtCap = static_cast<StateId>(-2);
 
-/// Tracked-bytes estimate for one witness-store activation step (object
-/// plus the heap its vectors hold; counts, never capacity).
+/// Tracked-bytes estimate for one activation step (object plus the heap
+/// its vectors hold; counts, never capacity). Under extract_witness the
+/// byte model charges it per transition: the layout it models stored
+/// every transition's step for the witness.
 std::size_t step_bytes(const model::ActivationStep& step) {
   std::size_t bytes = sizeof(model::ActivationStep) +
                       step.nodes.size() * sizeof(NodeId);
@@ -122,16 +127,50 @@ std::size_t step_bytes(const model::ActivationStep& step) {
   return bytes;
 }
 
+/// The self-loop rule for the steps of one state (a checker step
+/// activates one node): a step whose reads all process zero messages, at
+/// a node whose activation changes nothing (engine::idle), leaves the
+/// state as it is. The idle half is worked out once per node, since the
+/// enumerator visits the nodes in ascending order.
+class SelfLoopRule {
+ public:
+  explicit SelfLoopRule(const engine::NetworkState& state) : state_(state) {}
+
+  bool operator()(const model::ActivationStep& step) {
+    for (const model::ReadSpec& read : step.reads) {
+      if (engine::processed_count(state_, read) != 0) {
+        return false;
+      }
+    }
+    const NodeId v = step.nodes.front();
+    if (v != node_) {
+      node_ = v;
+      idle_ = engine::idle(state_, v);
+    }
+    return idle_;
+  }
+
+ private:
+  const engine::NetworkState& state_;
+  NodeId node_ = kNoNode;
+  bool idle_ = false;
+};
+
 /// The merged configuration graph. State payloads are owned by the
 /// ShardedStateSet's shard arenas (stable addresses); `states` maps the
 /// canonical, enumeration-ordered StateId to its payload. A state's
 /// out-edges are one slice of the flat `edges` array, named by its row:
 /// the merge appends all of a state's edges when it merges that state's
-/// expansion, whatever order the searcher expands states in.
+/// expansion, whatever order the searcher expands states in. Self-loops
+/// are not edges: a row keeps the union of its state's self-loop
+/// attempts, which is all the fairness test reads off them (they drop,
+/// deliver and change nothing, and never move a Tarjan lowlink).
 struct ConfigGraph {
   struct Row {
     std::uint32_t first = 0;  ///< index of the first out-edge
     std::uint32_t count = 0;  ///< 0 until expanded, and for terminal states
+    /// Label of the union of the self-loops' attempts (kNoLabel: none).
+    std::uint32_t self_loops = kNoLabel;
   };
 
   std::vector<const engine::NetworkState*> states;
@@ -148,33 +187,35 @@ struct ConfigGraph {
   }
 };
 
-/// A successor as expansion found it: its provisional id and its label,
-/// which the merge renumbers and interns.
+/// Successor::to of a self-loop (provisional ids stay below it).
+constexpr std::uint32_t kSelfLoop = static_cast<std::uint32_t>(-1);
+
+/// A successor as expansion found it: its provisional id (kSelfLoop for
+/// a self-loop) and its label, which the merge renumbers and interns,
+/// and the step's step_bytes under extract_witness (else 0).
 struct Successor {
   std::uint32_t to = 0;
+  std::uint32_t step_bytes = 0;
   EdgeLabel label;
 };
 
 /// Expansion output for one batch slot. Caller-indexed storage: the
 /// merge reads slots in batch order, so nothing downstream depends on
-/// which worker ran which slot. `steps` parallels `successors` and is
-/// filled only under extract_witness. Slots are reused across waves
-/// (reset(), not destruction) so the per-successor buffers keep their
-/// capacity instead of churning the allocator once per expansion.
+/// which worker ran which slot. Slots are reused across waves (reset(),
+/// not destruction) so the per-successor buffers keep their capacity
+/// instead of churning the allocator once per expansion.
 struct ExpandResult {
   bool quiescent = false;
   trace::Assignment assignment;    ///< when quiescent
   std::size_t raw_successors = 0;  ///< steps enumerated, pre-filter
   std::size_t bound_skipped = 0;   ///< successors beyond the channel bound
   std::vector<Successor> successors;
-  std::vector<model::ActivationStep> steps;
 
   void reset() {
     quiescent = false;
     raw_successors = 0;
     bound_skipped = 0;
     successors.clear();
-    steps.clear();
   }
 };
 
@@ -319,11 +360,13 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
                            : std::min<std::size_t>(64, threads * 8));
 
   // Tracked-bytes accounting over the explorer's own structures (interned
-  // states, edges, frontier, hash index, witness store). Always on — it
-  // is a handful of integer adds per expansion. All accounting happens
-  // on the merge path, in enumeration order, so the peak is identical at
-  // any thread count. Only a pop releases bytes, and it comes before the
-  // merged state's adds, so the peak is taken after each merge.
+  // states, transitions, frontier, hash index and, under extract_witness,
+  // the steps of the layout that stored one per transition; see
+  // kLegacyEdgeBytes and step_bytes). Always on — it is a handful of
+  // integer adds per expansion. All accounting happens on the merge path,
+  // in enumeration order, so the peak is identical at any thread count.
+  // Only a pop releases bytes, and it comes before the merged state's
+  // adds, so the peak is taken after each merge.
   std::uint64_t tracked_bytes = 0;
   // Per interned state: the payload's own footprint plus its seen-set
   // slot, its pointer in the id table, and its edge row.
@@ -365,9 +408,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
   std::vector<trace::Assignment> quiescent;
 
-  // Witness bookkeeping (only populated when requested). The step
-  // store parallels graph.edges, so an edge's index is its step's index.
-  std::vector<model::ActivationStep> step_store;
+  // Witness bookkeeping (only populated when requested): each state's
+  // discovery edge. The witness's steps are re-derived after the verdict.
   struct Parent {
     StateId from = 0;
     std::uint32_t edge = kNoEdge;  ///< the discovery edge
@@ -391,6 +433,33 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
     scratch.push_back(Scratch{StepEnumerator(m, successor_options),
                               engine::NetworkState(instance), {}});
   }
+
+  // What one enumerated step from `s` is: a self-loop (by the rule, so
+  // nothing is copied or executed), a successor beyond the channel bound,
+  // or a move to `work.next`. Expansion and the witness's re-derivation
+  // both classify steps here, so they agree on every transition.
+  enum class Taken { kSelfLoop, kBeyondBound, kMoved };
+  const auto take_step = [&](SelfLoopRule& self_loop,
+                             const engine::NetworkState& s,
+                             const model::ActivationStep& step,
+                             Scratch& work) {
+    if (self_loop(step)) {
+      return Taken::kSelfLoop;
+    }
+    work.next = s;
+    engine::execute_step(work.next, step, work.effect);
+    // Only the channels this step sent on can exceed the bound: `s` is
+    // within it (the initial state is empty and every interned successor
+    // passed this check), reads only shrink queues, and a step pushes at
+    // most once per channel, after its reads.
+    for (const engine::SentMessage& sent : work.effect.sent) {
+      if (work.next.channel(sent.channel).size() >
+          options.max_channel_length) {
+        return Taken::kBeyondBound;
+      }
+    }
+    return Taken::kMoved;
+  };
 
   // Parallel machinery: a pool (threads > 1 only) and per-worker obs
   // shards — each worker owns a registry and span collector, merged
@@ -450,44 +519,41 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       return;
     }
 
+    SelfLoopRule self_loop(s);
     out.raw_successors = work.steps.for_each(
         s, [&](const model::ActivationStep& step) {
-          engine::NetworkState& next = work.next;
-          engine::StepEffect& effect = work.effect;
-          next = s;
-          engine::execute_step(next, step, effect);
-
-          // Beyond the bound: do not expand. Only the channels this step
-          // sent on can be: `s` is within the bound (the initial state is
-          // empty and every interned successor passed this check), reads
-          // only shrink queues, and a step pushes at most once per
-          // channel, after its reads.
-          for (const engine::SentMessage& sent : effect.sent) {
-            if (next.channel(sent.channel).size() >
-                options.max_channel_length) {
+          Successor succ;
+          if (options.extract_witness) {
+            succ.step_bytes = static_cast<std::uint32_t>(step_bytes(step));
+          }
+          // Every step attempts its read channels; a self-loop drops,
+          // delivers and changes nothing.
+          for (const model::ReadSpec& read : step.reads) {
+            succ.label.attempts |= (1ULL << read.channel);
+          }
+          switch (take_step(self_loop, s, step, work)) {
+            case Taken::kSelfLoop:
+              succ.to = kSelfLoop;
+              break;
+            case Taken::kBeyondBound:  // not expanded
               ++out.bound_skipped;
               return;
-            }
+            case Taken::kMoved:
+              for (const engine::ReadEffect& read : work.effect.reads) {
+                if (read.dropped > 0) {
+                  succ.label.drops |= (1ULL << read.channel);
+                }
+                if (read.delivered) {
+                  succ.label.deliveries |= (1ULL << read.channel);
+                }
+              }
+              for (const engine::NodeEffect& node : work.effect.nodes) {
+                succ.label.pi_changed |= node.changed;
+              }
+              succ.to = seen.intern(work.next).id;  // provisional
+              break;
           }
-
-          EdgeLabel label;
-          for (const engine::ReadEffect& read : effect.reads) {
-            label.attempts |= (1ULL << read.channel);
-            if (read.dropped > 0) {
-              label.drops |= (1ULL << read.channel);
-            }
-            if (read.delivered) {
-              label.deliveries |= (1ULL << read.channel);
-            }
-          }
-          for (const engine::NodeEffect& node : effect.nodes) {
-            label.pi_changed |= node.changed;
-          }
-          out.successors.push_back(
-              Successor{seen.intern(next).id /* provisional */, label});
-          if (options.extract_witness) {
-            out.steps.push_back(step);
-          }
+          out.successors.push_back(succ);
         });
     if (expand_span.enabled()) {
       expand_span.attr("successors",
@@ -598,8 +664,18 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       CR_REQUIRE(graph.edges.size() + out.successors.size() < kNoEdge,
                  "explorer supports fewer than 2^32 - 1 transitions");
       graph.rows[id].first = static_cast<std::uint32_t>(graph.edges.size());
-      for (std::size_t k = 0; k < out.successors.size(); ++k) {
-        const Successor& succ = out.successors[k];
+      std::uint64_t self_attempts = 0;
+      for (const Successor& succ : out.successors) {
+        if (succ.to == kSelfLoop) {
+          // The state itself: a transition and a dedup hit, charged as
+          // an edge, kept only as its attempts.
+          self_attempts |= succ.label.attempts;
+          tracked_bytes += kLegacyEdgeBytes + succ.step_bytes;
+          ++result.transitions;
+          ++result.dedup_hits;
+          ++result.self_loops;
+          continue;
+        }
         const std::uint32_t prov = succ.to;
         if (final_of[prov] == kDroppedAtCap) {
           continue;
@@ -622,12 +698,8 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           to = final_of[prov];
         }
         const auto edge = static_cast<std::uint32_t>(graph.edges.size());
-        if (options.extract_witness) {
-          step_store.push_back(std::move(out.steps[k]));
-          tracked_bytes += step_bytes(step_store.back());
-        }
         graph.edges.push_back(Edge{to, graph.labels.intern(succ.label)});
-        tracked_bytes += kLegacyEdgeBytes;
+        tracked_bytes += kLegacyEdgeBytes + succ.step_bytes;
         ++result.transitions;
         if (is_new) {
           graph.states.push_back(payload_of[prov]);
@@ -649,6 +721,10 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
           std::max(result.tracked_peak_bytes, tracked_bytes);
       graph.rows[id].count = static_cast<std::uint32_t>(graph.edges.size()) -
                              graph.rows[id].first;
+      if (self_attempts != 0) {
+        graph.rows[id].self_loops =
+            graph.labels.intern(EdgeLabel{.attempts = self_attempts});
+      }
       if (result.state_cap_hit) {
         // Stop after the slot that filled the cap (its remaining
         // successors above already resolved against the full graph);
@@ -729,6 +805,12 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
             scc_pi_change[scc_of[v]] =
                 scc_pi_change[scc_of[v]] || label.pi_changed;
           });
+      for (StateId v = 0; v < graph.states.size(); ++v) {
+        if (graph.rows[v].self_loops != kNoLabel) {
+          scc_attempts[scc_of[v]] |=
+              graph.labels[graph.rows[v].self_loops].attempts;
+        }
+      }
       std::optional<std::uint32_t> witness_scc;
       for (std::uint32_t s = 0; s < sccs.count(); ++s) {
         if (scc_pi_change[s] && scc_attempts[s] == all_channels) {
@@ -741,23 +823,73 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
       }
 
       if (options.extract_witness && witness_scc.has_value()) {
-        // Build a closed tour through *every* internal edge of the
-        // witness SCC (so the loop attempts every channel, performs a
-        // delivery for every dropping channel, and changes assignments),
-        // plus the BFS prefix from the initial state to the tour start.
-        // Tours and paths are lists of edge indices, which are also
-        // step_store indices.
+        // Build a closed tour through *every* internal transition of the
+        // witness SCC, self-loops included (so the loop attempts every
+        // channel, performs a delivery for every dropping channel, and
+        // changes assignments), plus the BFS prefix from the initial
+        // state to the tour start.
         const std::span<const StateId> members = sccs[*witness_scc];
         const auto internal = [&](StateId v, std::uint32_t e) {
           return !pruned[e] && scc_of[v] == *witness_scc &&
                  scc_of[graph.edges[e].to] == *witness_scc;
         };
 
-        // BFS path (as edge indices) between two SCC states.
-        const auto scc_path = [&](StateId from,
-                                  StateId to) -> std::vector<std::uint32_t> {
+        // The graph keeps no steps: re-enumerate each state the witness
+        // visits with the same enumerator and rule, once. In enumeration
+        // order a step is a self-loop, beyond the bound, or the state's
+        // next stored edge; under the state cap, a successor that is no
+        // stored edge's target was dropped at the cap.
+        struct Transitions {
+          std::vector<model::ActivationStep> steps;  ///< self-loops and edges
+          std::vector<std::uint32_t> edge_at;  ///< stored edge k's step index
+        };
+        std::unordered_map<StateId, Transitions> derived;
+        Scratch& work = scratch.front();
+        const auto transitions = [&](StateId v) -> const Transitions& {
+          const auto [it, inserted] = derived.try_emplace(v);
+          Transitions& t = it->second;
+          if (!inserted) {
+            return t;
+          }
+          const engine::NetworkState& s = graph.state(v);
+          const ConfigGraph::Row& row = graph.rows[v];
+          SelfLoopRule self_loop(s);
+          work.steps.for_each(s, [&](const model::ActivationStep& step) {
+            switch (take_step(self_loop, s, step, work)) {
+              case Taken::kSelfLoop:
+                break;
+              case Taken::kBeyondBound:
+                return;
+              case Taken::kMoved: {
+                const std::uint32_t e =
+                    row.first + static_cast<std::uint32_t>(t.edge_at.size());
+                if (t.edge_at.size() == row.count ||
+                    !(work.next == graph.state(graph.edges[e].to))) {
+                  CR_ASSERT(result.state_cap_hit,
+                            "re-enumerated step matches no stored edge");
+                  return;
+                }
+                t.edge_at.push_back(
+                    static_cast<std::uint32_t>(t.steps.size()));
+                break;
+              }
+            }
+            t.steps.push_back(step);
+          });
+          CR_ASSERT(t.edge_at.size() == row.count,
+                    "re-enumeration missed a stored edge");
+          return t;
+        };
+        const auto step_of = [&](StateId v, std::uint32_t e)
+            -> const model::ActivationStep& {
+          const Transitions& t = transitions(v);
+          return t.steps[t.edge_at[e - graph.rows[v].first]];
+        };
+
+        // BFS path between two SCC states, as its stored edges' steps.
+        const auto append_scc_path = [&](StateId from, StateId to) {
           if (from == to) {
-            return {};
+            return;
           }
           std::unordered_map<StateId, std::pair<StateId, std::uint32_t>>
               via;  // state -> (predecessor, edge)
@@ -773,12 +905,15 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
               }
               via.emplace(next, std::make_pair(at, e));
               if (next == to) {
-                std::vector<std::uint32_t> rev;
-                for (StateId w = to; w != from;
-                     w = via.at(w).first) {
-                  rev.push_back(via.at(w).second);
+                std::vector<std::pair<StateId, std::uint32_t>> rev;
+                for (StateId w = to; w != from; w = via.at(w).first) {
+                  rev.push_back(via.at(w));
                 }
-                return {rev.rbegin(), rev.rend()};
+                for (auto hop = rev.rbegin(); hop != rev.rend(); ++hop) {
+                  result.witness_cycle.push_back(
+                      step_of(hop->first, hop->second));
+                }
+                return;
               }
               bfs.push_back(next);
             }
@@ -788,35 +923,31 @@ ExploreResult explore(const spp::Instance& instance, const model::Model& m,
 
         const StateId start = members.front();
         StateId cursor = start;
-        std::vector<std::uint32_t> tour;
         for (const StateId v : members) {
-          for (const std::uint32_t e : graph.out(v)) {
-            if (!internal(v, e)) {
-              continue;
+          const Transitions& t = transitions(v);
+          std::uint32_t k = 0;  // stored edges passed
+          for (std::size_t i = 0; i < t.steps.size(); ++i) {
+            StateId to = v;  // a self-loop
+            if (k < t.edge_at.size() && t.edge_at[k] == i) {
+              const std::uint32_t e = graph.rows[v].first + k++;
+              if (!internal(v, e)) {
+                continue;
+              }
+              to = graph.edges[e].to;
             }
-            for (const std::uint32_t idx : scc_path(cursor, v)) {
-              tour.push_back(idx);
-            }
-            tour.push_back(e);
-            cursor = graph.edges[e].to;
+            append_scc_path(cursor, v);
+            result.witness_cycle.push_back(t.steps[i]);
+            cursor = to;
           }
         }
-        for (const std::uint32_t idx : scc_path(cursor, start)) {
-          tour.push_back(idx);
-        }
+        append_scc_path(cursor, start);
 
-        std::vector<std::uint32_t> prefix_rev;
-        for (StateId at = start; at != 0;
-             at = parents[at].from) {
-          prefix_rev.push_back(parents[at].edge);
+        for (StateId at = start; at != 0; at = parents[at].from) {
+          result.witness_prefix.push_back(
+              step_of(parents[at].from, parents[at].edge));
         }
-        for (auto it = prefix_rev.rbegin(); it != prefix_rev.rend();
-             ++it) {
-          result.witness_prefix.push_back(step_store[*it]);
-        }
-        for (const std::uint32_t idx : tour) {
-          result.witness_cycle.push_back(step_store[idx]);
-        }
+        std::reverse(result.witness_prefix.begin(),
+                     result.witness_prefix.end());
       }
       break;
     }

@@ -2,9 +2,10 @@
 // communication model, with sound fair-oscillation detection.
 //
 // The explorer builds the reachable configuration graph (configurations
-// are full NetworkStates; edges are canonical activation steps) up to a
-// channel-length bound, then decides whether a *fair* non-convergent
-// execution exists:
+// are full NetworkStates; edges are canonical activation steps; a step
+// that changes nothing is a self-loop, kept as its state's read attempts
+// rather than as an edge) up to a channel-length bound, then decides
+// whether a *fair* non-convergent execution exists:
 //
 //   A fair oscillation exists iff, after iteratively deleting from every
 //   SCC the drop-edges whose channel has no delivery-edge in the same SCC
@@ -40,18 +41,22 @@ struct ExploreOptions {
   std::size_t max_states = 500000;
   std::size_t max_steps_per_state = 20000;
   /// Truncate exploration once the tracked-bytes estimate of the
-  /// explorer's own structures (interned states, edges, frontier, hash
-  /// index, witness store) exceeds this many bytes; 0 means unbounded.
-  /// The estimate is deterministic (see NetworkState::estimated_bytes),
-  /// so a limited run truncates at the same state on every machine —
-  /// unlike an RSS-based limit would.
+  /// explorer's own structures (interned states, transitions, frontier,
+  /// hash index) exceeds this many bytes; 0 means unbounded. The
+  /// estimate is deterministic (see NetworkState::estimated_bytes), so a
+  /// limited run truncates at the same state on every machine — unlike
+  /// an RSS-based limit would. It charges the unit costs of an older
+  /// layout, which stored every transition as an edge and, under
+  /// extract_witness, its step too; those charges stay, so limits and
+  /// tracked_peak_bytes mean what they did.
   std::size_t memory_limit_bytes = 0;
   /// Also construct a replayable witness for a found oscillation: a
   /// prefix script from the initial state to the witness SCC plus a cycle
-  /// script touring every edge of the SCC (hence covering all channel
-  /// attempts and at least one assignment change). Costs memory
-  /// proportional to the number of transitions; leave off for large
-  /// sweeps.
+  /// script touring every transition of the SCC (hence covering all
+  /// channel attempts and at least one assignment change). The steps are
+  /// re-derived after the verdict from the states the witness visits,
+  /// so exploration keeps no step per transition; the tour's time grows
+  /// with the SCC's size times its edges.
   bool extract_witness = false;
   /// Optional metrics registry / JSONL event sink / span collector.
   /// Detached (the default) adds nothing measurable; attached,
@@ -93,6 +98,11 @@ struct ExploreResult {
 
   std::size_t states = 0;
   std::size_t transitions = 0;
+  /// Transitions that leave their configuration as it is: the step
+  /// processes no message at a node whose activation changes nothing
+  /// (engine::idle). Counted in `transitions` and `dedup_hits`; the
+  /// configuration graph keeps only their read attempts, not an edge.
+  std::size_t self_loops = 0;
 
   /// Which configured bound truncated exploration, at what value (0 when
   /// the corresponding bound was not hit) — so a non-exhaustive verdict
@@ -112,9 +122,11 @@ struct ExploreResult {
   std::size_t scc_prune_passes = 0;
 
   /// High-watermark of the deterministic tracked-bytes estimate over the
-  /// explorer's structures (states + edges + frontier + index + witness
-  /// store). Always populated — the accounting is a handful of integer
-  /// adds per expansion, cheap enough to keep on unconditionally.
+  /// explorer's structures (states + transitions + frontier + index, and
+  /// a step per transition under extract_witness; see
+  /// ExploreOptions::memory_limit_bytes). Always populated — the
+  /// accounting is a handful of integer adds per expansion, cheap enough
+  /// to keep on unconditionally.
   std::uint64_t tracked_peak_bytes = 0;
 
   /// Peak tracked bytes per explored state — the scaling number the

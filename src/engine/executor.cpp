@@ -15,9 +15,7 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
   effect.channel = read.channel;
 
   MutableChannel channel = state.mutable_channel(read.channel);
-  const std::size_t m = channel.size();
-  const std::size_t i =
-      read.count.has_value() ? std::min<std::size_t>(*read.count, m) : m;
+  const std::size_t i = processed_count(state, read);
   effect.processed = static_cast<std::uint32_t>(i);
   if (i == 0) {
     return effect;
@@ -50,32 +48,42 @@ ReadEffect process_read(NetworkState& state, const model::ReadSpec& read) {
   return effect;
 }
 
-/// Phase 2 for one node: best permitted extension of the known routes,
-/// read from the instance's selection table.
-NodeEffect select(NetworkState& state, NodeId v) {
-  const spp::Instance& inst = state.instance();
+/// v's best permitted extension of its known routes, read from the
+/// instance's selection table, and the in-channel it extends.
+struct Selection {
+  spp::PathId path = spp::kEpsilonPath;  ///< epsilon when none is feasible
+  ChannelIdx from = kNoChannel;  ///< kNoChannel for epsilon and at d
+};
 
+Selection best_extension(const NetworkState& state, NodeId v) {
+  const spp::Instance& inst = state.instance();
+  Selection best;
+  if (v == inst.destination()) {
+    best.path = inst.permitted_id(v, 0);  // (d)
+    return best;
+  }
+  for (const ChannelIdx c : inst.graph().in_channels(v)) {
+    const spp::PathId candidate = inst.extension(v, state.known_id(c));
+    if (candidate == spp::kNoPath) {
+      continue;
+    }
+    // Lower ids rank higher among v's paths; ties keep the first.
+    if (best.from == kNoChannel || candidate < best.path) {
+      best.path = candidate;
+      best.from = c;
+    }
+  }
+  return best;
+}
+
+/// Phase 2 for one node: pi_v becomes its best extension.
+NodeEffect select(NetworkState& state, NodeId v) {
   NodeEffect effect;
   effect.node = v;
   effect.old_assignment = state.assignment_id(v);
-
-  if (v == inst.destination()) {
-    effect.new_assignment = inst.permitted_id(v, 0);  // (d)
-  } else {
-    for (const ChannelIdx c : inst.graph().in_channels(v)) {
-      const spp::PathId candidate = inst.extension(v, state.known_id(c));
-      if (candidate == spp::kNoPath) {
-        continue;
-      }
-      // Lower ids rank higher among v's paths; ties keep the first.
-      if (effect.selected_from == kNoChannel ||
-          candidate < effect.new_assignment) {
-        effect.new_assignment = candidate;
-        effect.selected_from = c;
-      }
-    }
-  }
-
+  const Selection best = best_extension(state, v);
+  effect.new_assignment = best.path;
+  effect.selected_from = best.from;
   effect.changed = (effect.new_assignment != effect.old_assignment);
   state.set_assignment_id(v, effect.new_assignment);
   return effect;
@@ -100,6 +108,19 @@ void announce(NetworkState& state, const NodeEffect& node_effect,
 }
 
 }  // namespace
+
+bool idle(const NetworkState& state, NodeId v) {
+  const spp::PathId pi = state.assignment_id(v);
+  if (best_extension(state, v).path != pi) {
+    return false;
+  }
+  for (const ChannelIdx out : state.instance().graph().out_channels(v)) {
+    if (pending_export(state, out, pi) != spp::kNoPath) {
+      return false;
+    }
+  }
+  return true;
+}
 
 spp::PathId pending_export(const NetworkState& state, ChannelIdx out,
                            spp::PathId pi) {

@@ -19,6 +19,7 @@
 // DESIGN.md.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -83,5 +84,21 @@ StepEffect execute_step(NetworkState& state,
 /// counts as epsilon), else kNoPath — nothing to write.
 spp::PathId pending_export(const NetworkState& state, ChannelIdx out,
                            spp::PathId pi);
+
+/// How many messages a read processes: i = min(f, m_c) of the m_c on
+/// its channel, or m_c when f = all. A read with i = 0 touches nothing.
+inline std::size_t processed_count(const NetworkState& state,
+                                   const model::ReadSpec& read) {
+  const std::size_t m = state.channel(read.channel).size();
+  return read.count.has_value() ? std::min<std::size_t>(*read.count, m) : m;
+}
+
+/// True when activating v changes nothing: v's best permitted extension
+/// is pi_v already, and no out-channel of v has a pending export. A step
+/// whose reads all process zero messages (processed_count) at idle
+/// nodes leaves the state word-for-word equal; any other step pops or
+/// pushes a message. The model checker keeps such steps out of its
+/// configuration graph as self-loops.
+bool idle(const NetworkState& state, NodeId v);
 
 }  // namespace commroute::engine

@@ -190,6 +190,8 @@ Path Instance::parse_path(const std::string& text) const {
          split_trimmed(trimmed_text, ' ')) {
       nodes.push_back(graph_.node(name));
     }
+  } else if (const std::string one(trimmed_text); graph_.has_node(one)) {
+    nodes.push_back(graph_.node(one));  // a one-node path, e.g. "n12"
   } else {
     CR_REQUIRE(single_char_names_,
                "compact path syntax requires single-character node names");

@@ -105,9 +105,10 @@ class Instance {
   /// is a single character, "x>y>d" otherwise; epsilon renders as "(eps)".
   std::string path_name(const Path& p) const;
 
-  /// Parses a path from symbolic names: either whitespace-separated names
-  /// ("x y d") or, when every node name is a single character, a compact
-  /// string ("xyd"). Throws ParseError on unknown names.
+  /// Parses a path from symbolic names: whitespace-separated names
+  /// ("x y d"), one node's name ("d", "n12"), or, when every node name is
+  /// a single character, a compact string ("xyd"). Throws ParseError on
+  /// unknown names.
   Path parse_path(const std::string& text) const;
 
   /// Human-readable dump of the whole instance.

@@ -1,8 +1,10 @@
 #include "trace/recording_io.hpp"
 
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "engine/executor.hpp"
 #include "model/script_io.hpp"
@@ -640,6 +642,7 @@ ReplayResult replay_recording(const LoadedRecording& loaded,
   // — their consequences are already baked into the recorded steps.
   std::size_t fault_cursor = 0;
   const auto apply_faults_before = [&](std::uint64_t step_index) {
+    const std::size_t first = fault_cursor;
     while (fault_cursor < doc.faults.size() &&
            doc.faults[fault_cursor].before <= step_index) {
       scenario::apply_fault(
@@ -648,24 +651,51 @@ ReplayResult replay_recording(const LoadedRecording& loaded,
                                 loaded.instance));
       ++fault_cursor;
     }
+    return fault_cursor != first;
   };
+  engine::StepEffect effect;
   for (std::size_t t = 0; t < doc.steps.size(); ++t) {
-    apply_faults_before(doc.meta.first_step + t);
-    engine::execute_step(state, doc.steps[t]);
+    const bool faulted = apply_faults_before(doc.meta.first_step + t);
+    engine::execute_step(state, doc.steps[t], effect);
     ++result.steps_replayed;
-    const Assignment actual = state.assignments();
-    result.trace.record(actual);
-    for (const Change& change : doc.trace.changes(t + 1)) {
-      expected[change.node] = change.path;
-    }
-    if (actual != expected) {
-      for (NodeId v = 0; v < static_cast<NodeId>(actual.size()); ++v) {
-        if (actual[v] != expected[v]) {
-          result.divergence = ReplayDivergence{
-              doc.meta.first_step + t, v, expected[v], actual[v]};
-          break;
+    // The step's pi changes, taken as engine::run takes them: from the
+    // effect, or, after a fault (which may rewrite pi outside the
+    // effect), by diffing the whole assignment.
+    std::vector<Change> changes;
+    if (faulted) {
+      changes = diff(result.trace.back(), state.assignments());
+    } else {
+      for (const engine::NodeEffect& node : effect.nodes) {
+        if (node.changed) {
+          changes.push_back(
+              Change{node.node, loaded.instance.path(node.new_assignment)});
         }
       }
+    }
+    // Replay and recording agreed on pi(t), so only a node this step
+    // changed, or the recording says it changed, can differ now; the
+    // lowest such node is the one a scan of every node finds.
+    const std::span<const Change> recorded = doc.trace.changes(t + 1);
+    for (const Change& change : recorded) {
+      expected[change.node] = change.path;
+    }
+    NodeId diverged = kNoNode;
+    const auto check = [&](NodeId v) {
+      if (v < diverged && state.assignment(v) != expected[v]) {
+        diverged = v;
+      }
+    };
+    for (const Change& change : changes) {
+      check(change.node);
+    }
+    for (const Change& change : recorded) {
+      check(change.node);
+    }
+    result.trace.record_changes(std::move(changes));
+    if (diverged != kNoNode) {
+      result.divergence =
+          ReplayDivergence{doc.meta.first_step + t, diverged,
+                           expected[diverged], state.assignment(diverged)};
       break;
     }
   }

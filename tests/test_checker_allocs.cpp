@@ -1,17 +1,18 @@
 // Heap allocations made by checker::explore, per interned state, by
-// checker::find_realization, per configuration, and by engine::run, per
-// step.
+// checker::find_realization, per configuration, and by engine::run and
+// trace::replay_recording, per step.
 //
 // An expansion reuses one step enumerator, one successor state and one
 // step effect per worker and copies a successor into the seen-set only
 // when it is new. Edges go into one flat array and SCCs into one flat
 // member array, so the allocations that remain scale with the states
 // found (their payload copy and amortized array growth), not with the
-// transitions tried or the SCCs formed. An engine step with the trace
-// or the flight recorder on keeps only what the step changed, so its
-// allocations do not grow with the network. This suite replaces the
-// global operator new/delete to count them, which is why it is its own
-// executable.
+// transitions tried or the SCCs formed; a witness is re-derived after
+// the verdict, so asking for one stores nothing per transition. An
+// engine step with the trace or the flight recorder on, and a replayed
+// step, keep only what the step changed, so their allocations do not
+// grow with the network. This suite replaces the global operator
+// new/delete to count them, which is why it is its own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,6 +27,7 @@
 #include "spp/gadgets.hpp"
 #include "sized_instance.hpp"
 #include "test_util.hpp"
+#include "trace/recording_io.hpp"
 
 namespace {
 
@@ -69,9 +71,7 @@ struct Counted {
 /// Explores on the calling thread, counting allocations only inside the
 /// explore() call.
 Counted explore_counted(const spp::Instance& inst, const Model& m,
-                        std::size_t bound) {
-  ExploreOptions options;
-  options.max_channel_length = bound;
+                        ExploreOptions options) {
   options.threads = 1;
   Counted counted;
   allocations.store(0);
@@ -94,7 +94,8 @@ TEST(CheckerAllocs, CountingSeesAllocations) {
 TEST(CheckerAllocs, SmallGadgetsAllModelsAtBound3) {
   for (const spp::Instance& inst : {spp::disagree(), spp::example_a4()}) {
     for (const Model& m : Model::all()) {
-      const Counted counted = explore_counted(inst, m, 3);
+      const Counted counted =
+          explore_counted(inst, m, {.max_channel_length = 3});
       ASSERT_GT(counted.result.states, 0u);
       EXPECT_LE(counted.per_state(), 16.0)
           << m.name() << ": " << counted.allocations << " allocations for "
@@ -105,11 +106,26 @@ TEST(CheckerAllocs, SmallGadgetsAllModelsAtBound3) {
 
 TEST(CheckerAllocs, BadGadgetR1OAtBound2) {
   const spp::Instance inst = spp::bad_gadget();
-  const Counted counted = explore_counted(inst, Model::parse("R1O"), 2);
+  const Counted counted =
+      explore_counted(inst, Model::parse("R1O"), {.max_channel_length = 2});
   EXPECT_EQ(counted.result.states, 38720u);
   // About 1.2: one payload copy per state plus amortized growth. A
   // heap row per state (edges or SCC members) would take it past 2.
   EXPECT_LE(counted.per_state(), 2.0)
+      << counted.allocations << " allocations for "
+      << counted.result.states << " states";
+}
+
+TEST(CheckerAllocs, WitnessRequestStoresNoStepPerTransition) {
+  // A.4 has no fair oscillation under UMS, so no witness is built: a
+  // step copied per transition for it cost 73.3 allocations per state,
+  // against 1.5 without the request.
+  const spp::Instance inst = spp::example_a4();
+  const Counted counted =
+      explore_counted(inst, Model::parse("UMS"),
+                      {.max_channel_length = 3, .extract_witness = true});
+  ASSERT_FALSE(counted.result.oscillation_found);
+  EXPECT_LE(counted.per_state(), 4.0)
       << counted.allocations << " allocations for "
       << counted.result.states << " states";
 }
@@ -183,6 +199,34 @@ TEST(EngineAllocs, TraceStepsStoreOnlyTheirChanges) {
         run_allocations_per_step(bench::sized_instance(pin.nodes), options),
         pin.ceiling)
         << pin.nodes << " nodes";
+  }
+}
+
+TEST(ReplayAllocs, ReplayStepsCompareOnlyTheirChanges) {
+  // Replaying a full recording of an R1O round-robin run. Building and
+  // comparing the whole assignment cost 273 allocations per step at 400
+  // nodes; recording and comparing a step's own changes costs about 0.2
+  // at every size.
+  for (const std::size_t nodes : {100, 400, 1600}) {
+    const spp::Instance& inst = bench::sized_instance(nodes);
+    engine::RoundRobinScheduler scheduler(Model::parse("R1O"), inst);
+    engine::RunOptions options;
+    options.max_steps = 10'000'000;
+    options.detect_cycles = false;
+    options.flight.mode = engine::FlightRecorderOptions::Mode::kFull;
+    const engine::RunResult run = engine::run(inst, scheduler, options);
+    ASSERT_EQ(run.outcome, engine::Outcome::kConverged);
+    trace::LoadedRecording loaded(inst);
+    loaded.doc = *run.recording;
+
+    allocations.store(0);
+    counting.store(true);
+    const trace::ReplayResult replay = trace::replay_recording(loaded);
+    counting.store(false);
+    ASSERT_TRUE(replay.identical) << nodes << " nodes";
+    const double per_step = static_cast<double>(allocations.load()) /
+                            static_cast<double>(replay.steps_replayed);
+    EXPECT_LE(per_step, 0.5) << nodes << " nodes";
   }
 }
 

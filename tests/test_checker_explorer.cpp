@@ -255,5 +255,21 @@ TEST(Explorer, ExplorationStatisticsArePopulated) {
   EXPECT_GT(r.dedup_hits, 0u);
 }
 
+// Over half of BAD-GADGET R1O's transitions at bound 3 change nothing.
+// They still count as transitions and dedup hits, and the byte model
+// still charges them, but the graph stores only the other 1,209,318.
+TEST(Explorer, SelfLoopsAreTransitionsButNotEdges) {
+  const ExploreResult r =
+      explore(spp::bad_gadget(), Model::parse("R1O"),
+              {.max_channel_length = 3});
+  EXPECT_TRUE(r.oscillation_found);
+  EXPECT_EQ(r.states, 226790u);
+  EXPECT_EQ(r.transitions, 2583720u);
+  EXPECT_EQ(r.dedup_hits, 2356931u);
+  EXPECT_EQ(r.tracked_peak_bytes, 709274440u);
+  EXPECT_EQ(r.self_loops, 1374402u);
+  EXPECT_EQ(r.transitions - r.self_loops, 1209318u);
+}
+
 }  // namespace
 }  // namespace commroute::checker

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
+#include "checker/explorer.hpp"
+#include "checker/state_set.hpp"
 #include "checker/successors.hpp"
 #include "engine/executor.hpp"
+#include "engine/runner.hpp"
 #include "engine/scheduler.hpp"
 #include "spp/gadgets.hpp"
+#include "spp/random_gen.hpp"
+#include "support/rng.hpp"
 
 namespace commroute::checker {
 namespace {
@@ -185,6 +192,81 @@ TEST_F(SuccessorsTest, EnumeratorCapMatchesEnumerateSteps) {
         << e.what();
   }
   EXPECT_EQ(visited, 3u);  // the cap admits exactly max_steps_per_state
+}
+
+// The checker's self-loop rule, on every step the enumerator visits from
+// every state reachable within channel bound 2 (up to 4,000 states per
+// cell): a step whose reads all process zero messages
+// (engine::processed_count) at an idle node (engine::idle) is exactly a
+// step that leaves the state equal. Where the search finishes under the
+// cap, explore() counts the same steps as self_loops.
+TEST(SelfLoopRule, AcceptsExactlyTheStepsThatChangeNothing) {
+  std::vector<std::pair<std::string, spp::Instance>> instances = {
+      {"DISAGREE", spp::disagree()},
+      {"A.4", spp::example_a4()},
+      {"BAD-GADGET", spp::bad_gadget()},
+      {"GOOD-GADGET", spp::good_gadget()}};
+  Rng rng(25);
+  for (int k = 0; k < 3; ++k) {
+    instances.emplace_back("random_policy " + std::to_string(k),
+                           spp::random_policy(rng, {.nodes = 5}));
+  }
+  constexpr std::size_t kBound = 2;
+  constexpr std::size_t kCap = 4000;
+  std::size_t accepted_total = 0;
+  std::size_t compared_cells = 0;
+  for (const auto& [name, inst] : instances) {
+    for (const Model& m : Model::all()) {
+      ShardedStateSet seen(1);
+      std::deque<const engine::NetworkState*> frontier{
+          seen.intern(engine::NetworkState(inst)).state};
+      StepEnumerator steps(m);
+      engine::NetworkState next(inst);
+      engine::StepEffect effect;
+      std::size_t accepted = 0;  // by the rule, at expandable states
+      std::size_t mismatches = 0;
+      std::string first_mismatch;
+      while (!frontier.empty()) {
+        const engine::NetworkState& s = *frontier.front();
+        frontier.pop_front();
+        const bool expandable = !engine::strongly_quiescent(s);
+        steps.for_each(s, [&](const model::ActivationStep& step) {
+          bool rule = engine::idle(s, step.nodes.front());
+          for (const model::ReadSpec& read : step.reads) {
+            rule = rule && engine::processed_count(s, read) == 0;
+          }
+          next = s;
+          engine::execute_step(next, step, effect);
+          const bool unchanged = next == s;
+          if (rule != unchanged && mismatches++ == 0) {
+            first_mismatch = step.to_string(inst) + " from\n" + s.to_string();
+          }
+          if (rule && expandable) {
+            ++accepted;
+          }
+          if (unchanged || next.max_channel_length() > kBound) {
+            return;
+          }
+          const ShardedStateSet::InternResult interned = seen.intern(next);
+          if (interned.inserted && seen.size() <= kCap) {
+            frontier.push_back(interned.state);
+          }
+        });
+      }
+      EXPECT_EQ(mismatches, 0u) << name << " " << m.name() << ": "
+                                << first_mismatch;
+      accepted_total += accepted;
+      if (seen.size() <= kCap) {
+        ++compared_cells;
+        const ExploreResult r =
+            explore(inst, m, {.max_channel_length = kBound});
+        EXPECT_EQ(r.states, seen.size()) << name << " " << m.name();
+        EXPECT_EQ(r.self_loops, accepted) << name << " " << m.name();
+      }
+    }
+  }
+  EXPECT_GT(accepted_total, 0u);
+  EXPECT_GT(compared_cells, 0u);
 }
 
 }  // namespace

@@ -121,6 +121,22 @@ TEST(Instance, MultiCharNamesUseSeparators) {
   EXPECT_THROW(inst.parse_path("n1dst"), PreconditionError);
 }
 
+TEST(Instance, ParsePathTakesOneNodeNameAsAOneNodePath) {
+  InstanceBuilder b("dst");
+  b.edge("n1", "dst");
+  b.prefer("n1", {"n1 dst"});
+  const Instance multi = b.build();
+  EXPECT_EQ(multi.parse_path("dst"), Path{multi.graph().node("dst")});
+  EXPECT_EQ(multi.parse_path(" n1 "), Path{multi.graph().node("n1")});
+  EXPECT_EQ(multi.path_name(multi.parse_path("dst")), "dst");
+  EXPECT_THROW(multi.parse_path("n2"), PreconditionError);
+  // Single-character names read the same either way.
+  const Instance single = disagree();
+  EXPECT_EQ(single.parse_path("d"), Path{single.graph().node("d")});
+  EXPECT_EQ(single.parse_path("d"), single.parse_path("d "));
+  EXPECT_THROW(single.parse_path("z"), ParseError);
+}
+
 TEST(Instance, DefaultExportAllowsEverything) {
   const Instance inst = disagree();
   const NodeId x = inst.graph().node("x");

@@ -117,6 +117,48 @@ TEST(ParallelChecker, AllModelsByteIdenticalAcrossThreadWidths) {
   }
 }
 
+// The BFS searcher's whole output for every model: ExploreResult::
+// summary(), checker_summary (minus wall_us) and the witness scripts,
+// one FNV-1a digest per instance over its 24 models. BAD-GADGET and
+// GOOD-GADGET run truncated, as above (cap-dropped successors and a
+// memory-limited merge are in scope); DISAGREE and Example A.4 run to
+// completion at bound 3.
+TEST(ParallelChecker, BfsOutputsOfEveryModelArePinned) {
+  struct Pin {
+    const char* name;
+    spp::Instance inst;
+    ExploreOptions options;
+    std::uint64_t digest;
+  };
+  ExploreOptions truncated;
+  truncated.max_channel_length = 2;
+  truncated.max_states = 4000;
+  truncated.memory_limit_bytes = 16u << 20;
+  truncated.extract_witness = true;
+  ExploreOptions complete;
+  complete.max_channel_length = 3;
+  complete.extract_witness = true;
+  const Pin pins[] = {
+      {"BAD-GADGET", spp::bad_gadget(), truncated, 11884707107602200377ULL},
+      {"GOOD-GADGET", spp::good_gadget(), truncated, 15436636884406629803ULL},
+      {"DISAGREE", spp::disagree(), complete, 12561577316274977051ULL},
+      {"A.4", spp::example_a4(), complete, 12245199452934341073ULL},
+  };
+  for (const Pin& pin : pins) {
+    std::string output;
+    for (const Model& m : Model::all()) {
+      const ObservedRun run = run_explore(pin.inst, m, pin.options);
+      output += m.name() + "\n" + run.result.summary() + "\n" +
+                run.summary_line + "\n" +
+                model::format_script(pin.inst, run.result.witness_prefix) +
+                "cycle\n" +
+                model::format_script(pin.inst, run.result.witness_cycle);
+    }
+    EXPECT_EQ(testutil::fnv1a(output), pin.digest)
+        << pin.name << ": " << output.size() << " bytes of output";
+  }
+}
+
 /// Plays `r`'s witness (the prefix, then the cycle forever) through
 /// ScriptedScheduler and engine::run, with every step checked against
 /// `m`, and returns the run's outcome.
@@ -355,6 +397,30 @@ TEST(ParallelChecker, NonBfsSearcherOutputsArePinned) {
         << "\n"
         << output;
   }
+}
+
+// DFS fills a cap of 164 states on BAD-GADGET R1O at bound 2 while
+// expanding a state of the witness SCC, so some of that state's
+// successors were dropped at the cap. Re-deriving the witness must skip
+// them, as the graph did, and still produce the parent's bytes.
+TEST(ParallelChecker, CappedWitnessSkipsSuccessorsDroppedAtTheCap) {
+  const spp::Instance inst = spp::bad_gadget();
+  const Model m = Model::parse("R1O");
+  ExploreOptions options;
+  options.max_channel_length = 2;
+  options.max_states = 164;
+  options.searcher = SearcherKind::kDFS;
+  options.extract_witness = true;
+  const ObservedRun run = run_explore(inst, m, options);
+  ASSERT_TRUE(run.result.state_cap_hit);
+  ASSERT_TRUE(run.result.oscillation_found);
+  EXPECT_EQ(replay_witness(inst, m, run.result),
+            engine::Outcome::kOscillating);
+  const std::string output =
+      run.summary_line + "\n" +
+      model::format_script(inst, run.result.witness_prefix) + "cycle\n" +
+      model::format_script(inst, run.result.witness_cycle);
+  EXPECT_EQ(testutil::fnv1a(output), 17403980799584331452ULL) << output;
 }
 
 // --- Satellite 1: exact state cap -------------------------------------

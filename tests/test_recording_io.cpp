@@ -14,6 +14,8 @@
 #include "model/script_io.hpp"
 #include "sim/sim_runner.hpp"
 #include "spp/gadgets.hpp"
+#include "spp/random_gen.hpp"
+#include "support/rng.hpp"
 #include "trace/recording_io.hpp"
 
 namespace commroute {
@@ -61,6 +63,28 @@ TEST(RecordingIo, RoundTripPreservesDocument) {
   // Steps survive the script-syntax round-trip verbatim.
   EXPECT_EQ(model::format_script(loaded.instance, loaded.doc.steps),
             model::format_script(bad, doc.steps));
+}
+
+TEST(RecordingIo, MultiCharacterNodeNamesRoundTripAndReplay) {
+  // random_shortest names its nodes d, n1, n2, ...: the destination's
+  // one-node path is written as the single name "d", with no space.
+  Rng rng(12);
+  const spp::Instance inst = spp::random_shortest(rng, {.nodes = 12});
+  const Model m = Model::parse("R1O");
+  engine::RoundRobinScheduler sched(m, inst);
+  engine::RunOptions options;
+  options.flight.mode = engine::FlightRecorderOptions::Mode::kFull;
+  const engine::RunResult run = engine::run(inst, sched, options);
+  ASSERT_EQ(run.outcome, engine::Outcome::kConverged);
+  ASSERT_TRUE(run.recording.has_value());
+
+  std::istringstream in(trace::recording_to_jsonl(inst, *run.recording));
+  const trace::LoadedRecording loaded = trace::load_recording_jsonl(in);
+  EXPECT_EQ(loaded.doc.trace, run.recording->trace);
+  const trace::ReplayResult replay = trace::replay_recording(loaded);
+  EXPECT_TRUE(replay.identical);
+  EXPECT_EQ(replay.steps_replayed, run.steps);
+  EXPECT_EQ(replay.trace, run.trace);
 }
 
 TEST(RecordingIo, WitnessRoundTripAndReplay) {
